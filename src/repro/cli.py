@@ -31,15 +31,15 @@ free). ``sweep`` additionally writes a ``BENCH_sweep.json`` artifact
 with per-cell wall times, cache hit/miss counts, worker utilization,
 and a deterministic ``results`` section.
 
-Sweeps are fault tolerant and resumable: ``--retries``/``--timeout``
-(or an armed ``REPRO_CHAOS``) route cells through the fault-tolerant
-executor — crashed or hung workers are retried with backoff, and cells
-that keep failing are quarantined (exit code 3, partial artifact)
-instead of aborting the sweep. ``sweep --resume`` restarts a killed
-sweep against the same ``--cache-dir``: completed cells replay from
-the cache and only the remainder re-executes. ``bench`` can snapshot
-the whole simulated machine every N driver steps
-(``--checkpoint-every``) and continue from a snapshot
+Sweeps are fault tolerant and resumable: parallel cells run on
+persistent workers that replace a crashed or hung worker, a cell that
+fails is quarantined (exit code 3, partial artifact) instead of
+aborting the sweep, and ``--retries``/``--timeout`` give each cell
+more attempts (with backoff) and a wall-time budget. ``sweep
+--resume`` restarts a killed sweep against the same ``--cache-dir``:
+completed cells replay from the cache and only the remainder
+re-executes. ``bench`` can snapshot the whole simulated machine every
+N driver steps (``--checkpoint-every``) and continue from a snapshot
 (``--resume-from``) with bit-identical results; ``lifetime`` does the
 same at iteration granularity.
 
@@ -99,10 +99,10 @@ from .ioutil import atomic_write_json, atomic_write_text
 from .obs import log as obslog
 from .obs.ledger import SweepLedger, SweepProgress, aggregate, read_ledger
 from .obs.metrics import (
+    SWEEP_CRASHES_TOTAL,
     SWEEP_QUARANTINED_CELLS_TOTAL,
     SWEEP_RETRIES_TOTAL,
     SWEEP_TIMEOUTS_TOTAL,
-    SWEEP_WORKER_CRASHES_TOTAL,
     MetricsRegistry,
 )
 from .obs.profile import merge_profiles, render_hotspots
@@ -538,19 +538,22 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared fault-tolerant-executor knobs for grid-running subcommands.
+    """Shared retry/timeout knobs for grid-running subcommands.
 
-    Any of these (or an armed ``REPRO_CHAOS``) routes uncached cells
-    through :mod:`repro.sim.ftexec` instead of the plain pool.
+    Parallel cells always run on the worker executor
+    (:mod:`repro.sim.ftexec`); these set how many attempts a cell gets
+    and how long each may run. Any of them (or an armed
+    ``REPRO_CHAOS``) also moves a ``--jobs 1`` run from in-process onto
+    one worker.
     """
     parser.add_argument(
         "--retries",
         type=int,
         default=None,
         metavar="N",
-        help="attempts per cell before quarantine (default: "
-        f"{RetryPolicy().max_attempts} once fault tolerance is engaged; "
-        "1 = quarantine on first failure)",
+        help="attempts per cell before quarantine (default: 1, or "
+        f"{RetryPolicy().max_attempts} when --retry-delay, --timeout or "
+        "REPRO_CHAOS is set; 1 = quarantine on first failure)",
     )
     parser.add_argument(
         "--retry-delay",
@@ -570,10 +573,12 @@ def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_retry_policy(args) -> Optional[RetryPolicy]:
-    """The executor policy implied by the flags, or None (plain pool).
+    """The retry policy implied by the flags; None is one attempt per
+    cell.
 
-    An armed ``REPRO_CHAOS`` also engages the executor: injected worker
-    deaths would hang or abort a plain ``multiprocessing.Pool``.
+    ``--timeout`` or an armed ``REPRO_CHAOS`` on its own gets the
+    default retries: a cell stopped for overrunning, or by an injected
+    failure, deserves another attempt.
     """
     chaos_armed = ChaosConfig.from_env() is not None
     if args.retries is None and args.retry_delay is None and not (
@@ -604,7 +609,7 @@ def _sweep_metrics_registry(stats) -> MetricsRegistry:
         SWEEP_TIMEOUTS_TOTAL, "cell attempts killed for overrunning --timeout"
     ).inc(report.timeouts)
     registry.counter(
-        SWEEP_WORKER_CRASHES_TOTAL, "worker processes that died mid-cell"
+        SWEEP_CRASHES_TOTAL, "worker processes that died mid-cell"
     ).inc(report.worker_crashes)
     registry.counter(
         SWEEP_QUARANTINED_CELLS_TOTAL, "cells abandoned after exhausting retries"
@@ -950,9 +955,8 @@ def cmd_sweep(args) -> int:
         )
         return 2
     if args.trace:
-        if _build_retry_policy(args) is not None:
-            # Only an armed REPRO_CHAOS can reach this now: the
-            # explicit-flag conflicts already errored out above.
+        if ChaosConfig.from_env() is not None:
+            # The explicit-flag conflicts already errored out above.
             obslog.warn(
                 "--trace runs serially in-process; ignoring REPRO_CHAOS"
             )
@@ -1019,7 +1023,7 @@ def _run_traced_sweep(args, grid: List[RunConfig]):
     Worker processes and the disk cache cannot carry trace events, so
     the traced path runs every cell inline; the SweepStats record is
     assembled by hand to keep the BENCH_sweep.json artifact identical
-    in shape to the pooled path.
+    in shape to the untraced path.
     """
     from .obs.export import write_chrome_trace
     from .sim.parallel import CellTiming, SweepStats, _describe

@@ -2,11 +2,11 @@
 
 PR 3's tracer measures *simulated* time inside one process; this
 module records where the harness spends its *real* wall-clock time
-across every process a sweep touches. The parent (:func:`run_grid`),
-each pool worker, and every fault-tolerant attempt append typed events
-to one shared JSONL file — schema ``repro.ledger/1`` — via
-:func:`repro.ioutil.append_jsonl`, whose single-``write`` ``O_APPEND``
-discipline makes concurrent appends safe without a lock.
+across every process a sweep touches. The parent (:func:`run_grid`)
+and each worker append typed events to one shared JSONL file — schema
+``repro.ledger/1`` — via :func:`repro.ioutil.append_jsonl`, whose
+single-``write`` ``O_APPEND`` discipline makes concurrent appends safe
+without a lock.
 
 The ledger is strictly observational: nothing reads it during the
 sweep, and a sweep run with the recorder on produces a bit-identical
@@ -310,7 +310,7 @@ PHASES = (
     "simulate",      # successful attempts' in-worker wall time
     "cache",         # lookups + stores in the parent
     "queue",         # dispatch -> first attempt_start gap
-    "collect",       # attempt_end -> parent collect gap (IPC + spool)
+    "collect",       # attempt_end -> parent collect gap (IPC)
     "retry_wait",    # backoff the executor deliberately waited out
     "retry_waste",   # failed attempts' wall time (error/crash/timeout)
 )
@@ -333,7 +333,7 @@ def aggregate(events: Sequence[Dict[str, Any]], top: int = 10) -> Dict[str, Any]
     intervals: List[Tuple[float, float]] = []
 
     if end is not None:
-        # Pool wind-down, measured by the parent and stamped on the
+        # Worker shutdown, measured by the executor and stamped on the
         # terminal record; counts as collection overhead.
         teardown = float(end.get("teardown_s", 0.0))
         if teardown > 0:
@@ -406,7 +406,7 @@ def aggregate(events: Sequence[Dict[str, Any]], top: int = 10) -> Dict[str, Any]
             retries += 1
             phases["retry_wait"] += float(event.get("wait_s", 0.0))
         elif ev in (TIMEOUT, CRASH):
-            # The attempt died without spooling an attempt_end; the
+            # The attempt died without writing an attempt_end; the
             # parent measured how long it was allowed to run.
             phases["retry_waste"] += float(event.get("wall_s", 0.0))
         elif ev == QUARANTINE:

@@ -33,7 +33,7 @@ LabelItems = Tuple[Tuple[str, str], ...]
 #: are defined once here rather than inline at each increment site.
 SWEEP_RETRIES_TOTAL = "repro_sweep_retries_total"
 SWEEP_TIMEOUTS_TOTAL = "repro_sweep_timeouts_total"
-SWEEP_WORKER_CRASHES_TOTAL = "repro_sweep_worker_crashes_total"
+SWEEP_CRASHES_TOTAL = "repro_sweep_worker_crashes_total"
 SWEEP_QUARANTINED_CELLS_TOTAL = "repro_sweep_quarantined_cells_total"
 SNAPSHOT_CHECKPOINTS_TOTAL = "repro_snapshot_checkpoints_total"
 

@@ -130,10 +130,12 @@ def validate_submission(document: Any) -> None:
         )
 
 
-def describe_retry(policy: Optional[Any]) -> Optional[Dict[str, Any]]:
-    """JSON view of a RetryPolicy for /healthz (None = plain pool)."""
+def describe_retry(policy: Optional[Any]) -> Dict[str, Any]:
+    """JSON view of a RetryPolicy for /healthz (None = one attempt)."""
     if policy is None:
-        return None
+        from ..sim.ftexec import SINGLE_ATTEMPT
+
+        policy = SINGLE_ATTEMPT
     return {
         "max_attempts": policy.max_attempts,
         "base_delay_s": policy.base_delay_s,

@@ -73,11 +73,12 @@ class ExperimentRunner:
     callers should keep ``jobs=1``; the in-memory memo still guarantees
     each unique cell is traced exactly once.
 
-    ``retry``/``timeout_s`` route prefetch fan-outs through the
-    fault-tolerant executor (:mod:`repro.sim.ftexec`). Cells it
-    quarantines simply stay unmemoized; aggregation then re-runs them
-    inline via :meth:`run_one` — a serial in-process last resort, so a
-    figure still completes after persistent worker trouble.
+    ``retry``/``timeout_s`` set the attempts and per-attempt budget of
+    prefetch fan-outs on the worker executor (:mod:`repro.sim.ftexec`).
+    Cells it quarantines simply stay unmemoized; aggregation then
+    re-runs them inline via :meth:`run_one` — a serial in-process last
+    resort, so a figure still completes after persistent worker
+    trouble.
     """
 
     def __init__(
@@ -145,7 +146,7 @@ class ExperimentRunner:
         (aggregation may early-exit and skip cells).
         """
         if self.tracer_factory is not None:
-            # Traced cells must run through run_one (the pool and the
+            # Traced cells must run through run_one (the workers and the
             # disk cache would both lose the events).
             return None
         if self.jobs <= 1 and self.cache is None:

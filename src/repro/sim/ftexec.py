@@ -1,36 +1,39 @@
-"""Fault-tolerant execution of grid cells: retry, backoff, quarantine.
+"""Parallel execution of grid cells: persistent workers that own retry,
+timeout and quarantine.
 
-The plain pool in :mod:`repro.sim.parallel` is fast but brittle — one
-worker death (OOM-killer, preempted node, plain SIGKILL) aborts the
-whole sweep and discards every in-flight cell. This module trades a
-little overhead for survival, using one **process per attempt**:
+Every uncached cell that :func:`~repro.sim.parallel.run_grid` does not
+run in-process comes here. The executor keeps one long-lived worker
+process per job slot, so worker-lifetime caches (the min-heap
+estimate, ...) serve cell after cell:
 
-* each attempt writes its result to a private spool file (atomically),
-  so the parent can always tell "finished" from "died mid-cell";
-* a missing or torn spool plus a nonzero exit code is a *crash*
-  (``-SIGKILL`` is detected specifically), an in-worker exception is an
-  *error*, and an attempt exceeding the per-cell budget is a *timeout*
-  (the parent terminates, then kills, the straggler);
+* each worker reads ``(index, config, attempt)`` tasks from its own
+  pipe and sends back ``(ok, RunResult | error text, wall_s)``; the
+  parent blocks on every busy worker's pipe and process sentinel;
+* an exception inside the cell is an *error* (the worker lives on), a
+  worker that dies without replying is a *crash* (``-SIGKILL`` is
+  detected specifically), and an attempt exceeding the per-cell budget
+  is a *timeout* (the parent terminates, then kills, the straggler);
+  a dead or stopped worker is replaced by a fresh one;
 * every failure is retried with exponential backoff and deterministic
   jitter — :meth:`RetryPolicy.delay` is a pure function of (seed, cell,
   attempt), so scheduling is reproducible and unit-testable;
 * a cell that fails ``max_attempts`` times is **quarantined**: the
   sweep completes without it and reports the partial result instead of
-  aborting (the Heterogeneous-Reliability stance — degrade, don't die).
+  aborting (the Heterogeneous-Reliability stance — degrade, don't die);
+* a worker whose parent dies sees its pipe close and exits quietly, so
+  a killed sweep leaves no orphans behind.
 
-Time is injectable: the executor only ever reads the clock through a
-:class:`Clock`, so the retry/backoff/timeout policy is tested against
-:class:`FakeClock` with zero wall-clock sleeps in CI.
+Time is injectable: the executor only ever reads the clock, sleeps and
+waits through a :class:`MonotonicClock`-shaped object, so the
+retry/backoff/timeout policy is tested against :class:`FakeClock` with
+zero wall-clock sleeps in CI.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
 import random
 import signal
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -55,15 +58,17 @@ from ..runtime.time_model import CostModel
 from .chaos import ChaosConfig, maybe_injure
 from .machine import RunConfig, RunResult, run_benchmark
 
-#: Parent poll granularity while attempts are in flight (real seconds).
-POLL_INTERVAL_S = 0.02
+#: How long an idle worker gets to exit on its own once its pipe closes
+#: before it is terminated (real seconds).
+STOP_GRACE_S = 1.0
 
 
 # ----------------------------------------------------------------------
 # Injectable time
 # ----------------------------------------------------------------------
 class MonotonicClock:
-    """Wall time for production: ``time.monotonic`` + ``time.sleep``."""
+    """Wall time for production: ``time.monotonic``, ``time.sleep`` and
+    a real blocking wait on worker handles."""
 
     def now(self) -> float:
         return time.monotonic()
@@ -72,12 +77,19 @@ class MonotonicClock:
         if seconds > 0:
             time.sleep(seconds)
 
+    def wait(self, handles: list, timeout: Optional[float]) -> list:
+        """The ready handles, after at most ``timeout`` (None = forever)."""
+        # Imported on first use, so in-process runs never load it.
+        from multiprocessing.connection import wait
+
+        return wait(handles, timeout)
+
 
 class FakeClock:
     """Deterministic time for tests: sleeping *is* advancing.
 
     Records every sleep so tests can assert the executor's pacing
-    (backoff waits, poll cadence) without a single wall-clock stall.
+    (backoff waits, timeout waits) without a single wall-clock stall.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -93,6 +105,19 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self._now += seconds
+
+    def wait(self, handles: list, timeout: Optional[float]) -> list:
+        """Poll the handles; if none is ready, ``timeout`` fake seconds
+        pass. Without a timeout only a worker can end the wait, so it
+        blocks for real."""
+        from multiprocessing.connection import wait
+
+        if timeout is None:
+            return wait(handles)
+        ready = wait(handles, 0)
+        if not ready:
+            self.sleep(timeout)
+        return ready
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +156,10 @@ class RetryPolicy:
         base = min(self.max_delay_s, self.base_delay_s * 2 ** (attempt - 2))
         rng = random.Random((self.seed << 32) ^ (cell_index << 8) ^ attempt)
         return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+
+
+#: The policy when none is given: one attempt per cell, no retry.
+SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 
 # ----------------------------------------------------------------------
@@ -194,98 +223,120 @@ class FaultToleranceReport:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# One attempt (in-process route and workers alike)
 # ----------------------------------------------------------------------
-def _attempt_worker(
+def run_attempt(
+    index: int,
     config: RunConfig,
-    cost_model: CostModel,
-    spool_path: str,
-    cell_index: int,
     attempt: int,
-    chaos: Optional[ChaosConfig],
+    cost_model: CostModel,
     ledger_path: Optional[str] = None,
     profile_dir: Optional[str] = None,
-) -> None:
-    """One attempt at one cell, result spooled atomically.
+    chaos: Optional[ChaosConfig] = None,
+) -> Tuple[RunResult, float]:
+    """Run one attempt at one cell; returns ``(result, wall_s)``.
 
-    The chaos hook fires after dispatch, so from the parent's view the
-    worker dies mid-cell; an exception (chaos or real) is spooled as an
-    error record so the parent can distinguish it from a silent crash.
-
-    With a ``ledger_path``, the attempt brackets itself with
+    With a ``ledger_path`` the attempt brackets itself with
     ``attempt_start``/``attempt_end`` flight-recorder events (a killed
     worker leaves only the start — the parent's ``crash`` event closes
-    the story). ``profile_dir`` arms cProfile around the benchmark.
+    the story). ``profile_dir`` arms cProfile around the benchmark. The
+    chaos hook fires after ``attempt_start``, so from the parent's view
+    the worker dies mid-cell. Exceptions propagate to the caller.
     """
-    from .cache import result_to_dict  # local: avoids import cycle at fork
-
-    if chaos is None:
-        chaos = ChaosConfig.from_env()
     worker_emit(
-        ledger_path,
-        ATTEMPT_START,
-        cell=cell_index,
-        attempt=attempt,
+        ledger_path, ATTEMPT_START, cell=index, attempt=attempt,
         workload=config.workload,
     )
     started = time.perf_counter()
+    ok = False
     try:
-        maybe_injure(chaos, cell_index, attempt)
+        maybe_injure(chaos, index, attempt)
         if profile_dir is not None:
-            prof = _profile_spool_path(profile_dir, cell_index, attempt)
-            result = profile_call(prof, run_benchmark, config, cost_model)
+            spool = _profile_spool_path(profile_dir, index, attempt)
+            result = profile_call(spool, run_benchmark, config, cost_model)
             worker_emit(
-                ledger_path, PROFILE, cell=cell_index, attempt=attempt, spool=prof
+                ledger_path, PROFILE, cell=index, attempt=attempt, spool=spool
             )
         else:
             result = run_benchmark(config, cost_model)
-        wall_s = time.perf_counter() - started
-        spooled = json.dumps(
-            {"ok": True, "result": result_to_dict(result), "wall_s": wall_s}
-        ).encode()
         ok = True
-    except BaseException as exc:  # spooled, classified by the parent
+    finally:
         wall_s = time.perf_counter() - started
-        spooled = json.dumps(
-            {"ok": False, "error": f"{type(exc).__name__}: {exc}", "wall_s": wall_s}
-        ).encode()
-        ok = False
-    worker_emit(
-        ledger_path,
-        ATTEMPT_END,
-        cell=cell_index,
-        attempt=attempt,
-        ok=ok,
-        wall_s=wall_s,
-        workload=config.workload,
-    )
-    directory = os.path.dirname(spool_path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(spooled)
-        os.replace(tmp, spool_path)
-    except BaseException:
+        worker_emit(
+            ledger_path, ATTEMPT_END, cell=index, attempt=attempt, ok=ok,
+            wall_s=wall_s, workload=config.workload,
+        )
+    return result, wall_s
+
+
+def _worker_main(
+    conn,
+    inherited: Sequence,
+    cost_model: CostModel,
+    chaos: Optional[ChaosConfig],
+    ledger_path: Optional[str],
+    profile_dir: Optional[str],
+) -> None:
+    """Serve tasks until the parent closes the pipe (or dies).
+
+    ``inherited`` are the parent's ends of every worker pipe, copied in
+    by fork; holding them would keep those pipes open past the parent's
+    death. Ctrl-C is the parent's to handle: it stops the workers.
+    """
+    for other in inherited:
+        other.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if chaos is None:
+        chaos = ChaosConfig.from_env()
+    while True:
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            index, config, attempt = conn.recv()
+        except (EOFError, ConnectionError):
+            return
+        started = time.perf_counter()
+        try:
+            result, wall_s = run_attempt(
+                index, config, attempt, cost_model, ledger_path, profile_dir,
+                chaos,
+            )
+            reply = (True, result, wall_s)
+        except Exception as exc:  # reported, classified by the parent
+            reply = (
+                False,
+                f"{type(exc).__name__}: {exc}",
+                time.perf_counter() - started,
+            )
+        try:
+            conn.send(reply)
+        except ConnectionError:
+            return
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-class _Attempt:
-    __slots__ = ("process", "spool", "index", "config", "attempt", "started")
+class _Worker:
+    __slots__ = ("process", "conn", "task", "started")
 
-    def __init__(self, process, spool, index, config, attempt, started) -> None:
+    def __init__(self, process, conn) -> None:
         self.process = process
-        self.spool = spool
-        self.index = index
-        self.config = config
-        self.attempt = attempt
-        self.started = started
+        self.conn = conn
+        #: ``(index, config, attempt)`` in flight, or None when idle.
+        self.task: Optional[Tuple[int, RunConfig, int]] = None
+        self.started = 0.0
+
+
+def _stop(worker: _Worker, grace: float) -> None:
+    """Close the worker's pipe; terminate, then kill, if it lingers."""
+    worker.conn.close()
+    process = worker.process
+    process.join(grace)
+    if process.exitcode is None:
+        process.terminate()
+        process.join(1.0)
+        if process.exitcode is None:
+            process.kill()
+            process.join()
 
 
 def run_cells_fault_tolerant(
@@ -294,30 +345,37 @@ def run_cells_fault_tolerant(
     jobs: int,
     policy: RetryPolicy,
     timeout_s: Optional[float] = None,
-    clock: Optional["MonotonicClock"] = None,
+    clock: Optional[MonotonicClock] = None,
     progress: Optional[Callable[[str], None]] = None,
     chaos: Optional[ChaosConfig] = None,
     describe: Optional[Callable[[RunConfig], str]] = None,
     ledger: Optional[SweepLedger] = None,
     profile_dir: Optional[str] = None,
-) -> Tuple[List[Tuple[int, RunResult, float]], FaultToleranceReport]:
+    on_complete: Optional[Callable[[int, RunResult, float], None]] = None,
+) -> Tuple[List[Tuple[int, RunResult, float]], FaultToleranceReport, float]:
     """Run every cell to completion or quarantine; never aborts the sweep.
 
     Returns completions as ``(index, result, wall_s)`` in arbitrary
-    order (the caller re-sorts by index) plus the survival report.
-    ``chaos`` is only ever armed by tests and the CI chaos-smoke job.
+    order (the caller re-sorts by index), the survival report, and the
+    wall seconds spent shutting the workers down. ``on_complete`` is
+    called with each completion as it arrives. ``chaos`` is only ever
+    armed by tests and the CI chaos-smoke job.
 
     With a ``ledger``, the parent records dispatch/collect plus every
     retry, timeout, crash and quarantine as flight-recorder events;
-    attempt processes append their own start/end records to the
-    ledger's file. ``profile_dir`` arms per-attempt cProfile spools.
+    workers append their own attempt start/end records to the ledger's
+    file. ``profile_dir`` arms per-attempt cProfile spools.
     """
     clock = clock or MonotonicClock()
-    describe = describe or (lambda config: repr(config))
+    describe = describe or repr
     report = FaultToleranceReport()
     completions: List[Tuple[int, RunResult, float]] = []
-    jobs = max(1, jobs)
+    slots = max(1, min(jobs, len(pending)))
     ledger_path = ledger.path if ledger is not None else None
+    # The platform's default start method (fork on Linux): workers
+    # inherit the parent's imported modules, so a worker costs no
+    # interpreter start-up and in-process instrumentation reaches it.
+    context = multiprocessing.get_context()
 
     def _emit(ev: str, **fields) -> None:
         if ledger is not None:
@@ -329,185 +387,164 @@ def run_cells_fault_tolerant(
     ready.reverse()  # pop() serves cells in input order
     delayed: List[Tuple[float, int, RunConfig, int]] = []
     failures: Dict[int, List[str]] = {}
-    running: List[_Attempt] = []
-    context = multiprocessing.get_context()
+    workers: List[_Worker] = []
 
-    def fail(attempt: _Attempt, kind: str, detail: str) -> None:
-        history = failures.setdefault(attempt.index, [])
-        history.append(f"attempt {attempt.attempt}: {kind}: {detail}")
-        if attempt.attempt >= policy.max_attempts:
+    def spawn() -> _Worker:
+        parent_end, child_end = context.Pipe()
+        inherited = [worker.conn for worker in workers] + [parent_end]
+        process = context.Process(
+            target=_worker_main,
+            args=(child_end, inherited, cost_model, chaos, ledger_path,
+                  profile_dir),
+            daemon=True,
+        )
+        process.start()
+        child_end.close()
+        worker = _Worker(process, parent_end)
+        workers.append(worker)
+        return worker
+
+    def retire(worker: _Worker, grace: float) -> None:
+        workers.remove(worker)
+        _stop(worker, grace)
+
+    def fail(task: Tuple[int, RunConfig, int], kind: str, detail: str) -> None:
+        index, config, attempt = task
+        history = failures.setdefault(index, [])
+        history.append(f"attempt {attempt}: {kind}: {detail}")
+        if attempt >= policy.max_attempts:
             report.quarantined.append(
                 QuarantinedCell(
-                    index=attempt.index,
-                    workload=attempt.config.workload,
-                    description=describe(attempt.config),
-                    attempts=attempt.attempt,
+                    index=index,
+                    workload=config.workload,
+                    description=describe(config),
+                    attempts=attempt,
                     failures=list(history),
                 )
             )
             _emit(
-                QUARANTINE,
-                cell=attempt.index,
-                workload=attempt.config.workload,
-                attempts=attempt.attempt,
-                kind=kind,
+                QUARANTINE, cell=index, workload=config.workload,
+                attempts=attempt, kind=kind,
             )
             if progress is not None:
                 progress(
-                    f"QUARANTINED {attempt.config.workload} "
-                    f"{describe(attempt.config)} after "
-                    f"{attempt.attempt} attempts ({kind})"
+                    f"QUARANTINED {config.workload} {describe(config)} "
+                    f"after {attempt} attempts ({kind})"
                 )
             return
         report.retries += 1
-        next_attempt = attempt.attempt + 1
-        wait = policy.delay(attempt.index, next_attempt)
-        delayed.append(
-            (clock.now() + wait, attempt.index, attempt.config, next_attempt)
-        )
+        next_attempt = attempt + 1
+        wait = policy.delay(index, next_attempt)
+        delayed.append((clock.now() + wait, index, config, next_attempt))
         _emit(
-            RETRY,
-            cell=attempt.index,
-            workload=attempt.config.workload,
-            attempt=next_attempt,
-            wait_s=wait,
-            kind=kind,
+            RETRY, cell=index, workload=config.workload,
+            attempt=next_attempt, wait_s=wait, kind=kind,
         )
         if progress is not None:
             progress(
-                f"retrying {attempt.config.workload} "
-                f"{describe(attempt.config)} ({kind}; "
+                f"retrying {config.workload} {describe(config)} ({kind}; "
                 f"attempt {next_attempt}/{policy.max_attempts} "
                 f"in {wait:.2f}s)"
             )
 
-    def reap(attempt: _Attempt) -> None:
-        """Attempt's process has exited; classify the outcome."""
-        exitcode = attempt.process.exitcode
-        payload = None
+    def assign(task: Tuple[int, RunConfig, int]) -> None:
+        index, config, attempt = task
+        if attempt == 1:
+            _emit(DISPATCH, cell=index, workload=config.workload)
+        idle = [worker for worker in workers if worker.task is None]
+        worker = idle[0] if idle else spawn()
         try:
-            with open(attempt.spool, "rb") as handle:
-                payload = json.loads(handle.read().decode())
-        except (OSError, ValueError):
-            payload = None  # died before (or while) spooling
-        finally:
-            try:
-                os.unlink(attempt.spool)
-            except OSError:
-                pass
-        if payload is not None and payload.get("ok"):
-            from .cache import result_from_dict
+            worker.conn.send(task)
+        except ConnectionError:
+            # Died while idle: replace it; no attempt was lost.
+            retire(worker, 0.0)
+            worker = spawn()
+            worker.conn.send(task)
+        worker.task = task
+        worker.started = clock.now()
 
-            wall = float(payload.get("wall_s", 0.0))
-            completions.append(
-                (attempt.index, result_from_dict(payload["result"]), wall)
-            )
+    def collect(worker: _Worker) -> None:
+        """The worker replied or died; classify the outcome."""
+        task, worker.task = worker.task, None
+        index, config, attempt = task
+        try:
+            ok, payload, wall = worker.conn.recv()
+        except (EOFError, ConnectionError):
+            retire(worker, STOP_GRACE_S)
+            report.worker_crashes += 1
+            exitcode = worker.process.exitcode
+            if exitcode == -signal.SIGKILL:
+                detail = "killed (SIGKILL)"
+            elif exitcode is not None and exitcode < 0:
+                detail = f"terminated by signal {-exitcode}"
+            else:
+                detail = f"exit code {exitcode}, no result returned"
             _emit(
-                COLLECT,
-                cell=attempt.index,
-                workload=attempt.config.workload,
-                wall_s=wall,
+                CRASH, cell=index, attempt=attempt,
+                wall_s=max(0.0, clock.now() - worker.started), detail=detail,
             )
+            fail(task, "crash", detail)
             return
-        if payload is not None:
+        if not ok:
             report.worker_errors += 1
-            fail(attempt, "error", payload.get("error", "unknown error"))
+            fail(task, "error", payload)
             return
-        report.worker_crashes += 1
-        if exitcode == -signal.SIGKILL:
-            detail = "killed (SIGKILL)"
-        elif exitcode is not None and exitcode < 0:
-            detail = f"terminated by signal {-exitcode}"
-        else:
-            detail = f"exit code {exitcode}, no result spooled"
-        _emit(
-            CRASH,
-            cell=attempt.index,
-            attempt=attempt.attempt,
-            wall_s=max(0.0, clock.now() - attempt.started),
-            detail=detail,
-        )
-        fail(attempt, "crash", detail)
+        completions.append((index, payload, wall))
+        _emit(COLLECT, cell=index, workload=config.workload, wall_s=wall)
+        if on_complete is not None:
+            on_complete(index, payload, wall)
 
-    with tempfile.TemporaryDirectory(prefix="repro-ftexec-") as spool_dir:
-        serial = 0
-        while ready or delayed or running:
+    def time_out(worker: _Worker) -> None:
+        task, worker.task = worker.task, None
+        retire(worker, 0.0)
+        report.timeouts += 1
+        _emit(
+            TIMEOUT, cell=task[0], attempt=task[2],
+            wall_s=max(0.0, clock.now() - worker.started),
+        )
+        fail(task, "timeout", f"exceeded {timeout_s:.1f}s cell budget")
+
+    try:
+        while True:
             now = clock.now()
             # Promote delayed retries whose backoff has elapsed.
-            if delayed:
-                due = [item for item in delayed if item[0] <= now]
-                if due:
-                    delayed[:] = [item for item in delayed if item[0] > now]
-                    for _, index, config, attempt_no in sorted(due):
-                        ready.append((index, config, attempt_no))
-            # Fill free worker slots.
-            while ready and len(running) < jobs:
-                index, config, attempt_no = ready.pop()
-                spool = os.path.join(spool_dir, f"cell-{index}-{serial}.json")
-                serial += 1
-                if attempt_no == 1:
-                    _emit(DISPATCH, cell=index, workload=config.workload)
-                process = context.Process(
-                    target=_attempt_worker,
-                    args=(
-                        config,
-                        cost_model,
-                        spool,
-                        index,
-                        attempt_no,
-                        chaos,
-                        ledger_path,
-                        profile_dir,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                running.append(
-                    _Attempt(process, spool, index, config, attempt_no, now)
-                )
-            if not running:
+            due = sorted(item for item in delayed if item[0] <= now)
+            if due:
+                delayed[:] = [item for item in delayed if item[0] > now]
+                for _, index, config, attempt in due:
+                    ready.append((index, config, attempt))
+            while ready and (
+                len(workers) < slots
+                or any(worker.task is None for worker in workers)
+            ):
+                assign(ready.pop())
+            busy = [worker for worker in workers if worker.task is not None]
+            if not busy:
+                if not delayed:
+                    break
                 # Everything is waiting out a backoff: jump to the next
                 # due time instead of spinning.
                 clock.sleep(max(0.0, min(item[0] for item in delayed) - now))
                 continue
-            # Reap exits and enforce timeouts.
-            still_running: List[_Attempt] = []
-            reaped = False
-            for attempt in running:
-                if attempt.process.exitcode is not None:
-                    attempt.process.join()
-                    reap(attempt)
-                    reaped = True
+            deadlines = [item[0] for item in delayed]
+            if timeout_s is not None:
+                deadlines += [worker.started + timeout_s for worker in busy]
+            wait = max(0.0, min(deadlines) - now) if deadlines else None
+            handles = [worker.conn for worker in busy]
+            handles += [worker.process.sentinel for worker in busy]
+            signalled = clock.wait(handles, wait)
+            for worker in busy:
+                if worker.conn in signalled or worker.process.sentinel in signalled:
+                    collect(worker)
                 elif (
                     timeout_s is not None
-                    and clock.now() - attempt.started > timeout_s
+                    and clock.now() - worker.started >= timeout_s
                 ):
-                    attempt.process.terminate()
-                    attempt.process.join(1.0)
-                    if attempt.process.exitcode is None:
-                        attempt.process.kill()
-                        attempt.process.join()
-                    report.timeouts += 1
-                    try:
-                        os.unlink(attempt.spool)
-                    except OSError:
-                        pass
-                    _emit(
-                        TIMEOUT,
-                        cell=attempt.index,
-                        attempt=attempt.attempt,
-                        wall_s=max(0.0, clock.now() - attempt.started),
-                    )
-                    fail(
-                        attempt,
-                        "timeout",
-                        f"exceeded {timeout_s:.1f}s cell budget",
-                    )
-                    reaped = True
-                else:
-                    still_running.append(attempt)
-            running = still_running
-            if not reaped:
-                clock.sleep(POLL_INTERVAL_S)
+                    time_out(worker)
+    finally:
+        teardown_start = time.perf_counter()
+        for worker in workers:
+            _stop(worker, 0.0 if worker.task is not None else STOP_GRACE_S)
+        teardown_s = time.perf_counter() - teardown_start
 
-    return completions, report
+    return completions, report, teardown_s

@@ -1,16 +1,20 @@
 """Parallel, resumable execution of experiment grids.
 
 The unit of work is one :class:`~repro.sim.machine.RunConfig` cell.
-``run_grid`` fans cells out over ``multiprocessing`` workers and
-returns results **in input order**, so parallel output is bit-identical
-to a serial run — ``run_benchmark`` is deterministic in (config, cost
-model), and ordering is restored by index regardless of completion
-order.
+``run_grid`` has two routes: ``jobs <= 1`` with no retry, timeout or
+chaos runs every cell in-process (so ``--trace``, ``--profile-cells``
+and debuggers see it); everything else goes to the persistent-worker
+executor in :mod:`repro.sim.ftexec`, which owns retry, timeout and
+quarantine. Results come back **in input order**, so parallel output
+is bit-identical to a serial run — ``run_benchmark`` is deterministic
+in (config, cost model), and ordering is restored by index regardless
+of completion order.
 
 When a :class:`~repro.sim.cache.ResultCache` is supplied, cells already
-on disk are served without touching the pool, and fresh results are
-published for the next invocation — repeated figure/sweep runs only pay
-for cells they have never seen.
+on disk are served without reaching an executor, and fresh results are
+published as they arrive — repeated figure/sweep runs only pay for
+cells they have never seen, and a killed sweep resumes from the cells
+it finished.
 
 Every call also produces a :class:`SweepStats` record (per-cell wall
 time, cache hit/miss counts, worker utilization) so the performance of
@@ -20,15 +24,12 @@ the harness itself stays observable; the CLI serializes it as
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs.ledger import (
-    ATTEMPT_END,
-    ATTEMPT_START,
     CACHE_HIT,
     CACHE_MISS,
     CACHE_STORE,
@@ -37,19 +38,21 @@ from ..obs.ledger import (
     COLLECT,
     DISPATCH,
     LEDGER_SCHEMA,
-    PROFILE,
     SWEEP_BEGIN,
     SWEEP_END,
     SweepLedger,
-    worker_emit,
 )
-from ..obs.profile import profile_call
-from ..obs.profile import spool_path as _profile_spool_path
 from ..runtime.time_model import DEFAULT_COST_MODEL, CostModel
 from .cache import ResultCache
 from .chaos import ChaosConfig
-from .ftexec import FaultToleranceReport, RetryPolicy, run_cells_fault_tolerant
-from .machine import RunConfig, RunResult, run_benchmark
+from .ftexec import (
+    SINGLE_ATTEMPT,
+    FaultToleranceReport,
+    RetryPolicy,
+    run_attempt,
+    run_cells_fault_tolerant,
+)
+from .machine import RunConfig, RunResult
 
 #: Sweep-artifact schema identifier (see EXPERIMENTS.md). Version 2
 #: added the fault-tolerance block and the deterministic ``results``
@@ -96,11 +99,12 @@ class SweepStats:
     cache_hits: int = 0
     cache_misses: int = 0
     wall_s: float = 0.0
-    #: Sum of per-cell execution time (the work the pool actually did).
+    #: Sum of per-cell execution time (the work the workers actually did).
     busy_s: float = 0.0
     timings: List[CellTiming] = field(default_factory=list)
-    #: What the fault-tolerant executor survived (zeros on the plain
-    #: pool path, which aborts on the first worker death instead).
+    #: What the worker executor survived: retries, timeouts, crashes,
+    #: errors and quarantined cells (zeros on the in-process route,
+    #: where a failing cell raises instead).
     fault_tolerance: FaultToleranceReport = field(
         default_factory=FaultToleranceReport
     )
@@ -147,51 +151,6 @@ class SweepStats:
 
 
 # ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-_WORKER_COST_MODEL: CostModel = DEFAULT_COST_MODEL
-_WORKER_LEDGER_PATH: Optional[str] = None
-_WORKER_PROFILE_DIR: Optional[str] = None
-
-
-def _init_worker(
-    cost_model: CostModel,
-    ledger_path: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-) -> None:
-    global _WORKER_COST_MODEL, _WORKER_LEDGER_PATH, _WORKER_PROFILE_DIR
-    _WORKER_COST_MODEL = cost_model
-    _WORKER_LEDGER_PATH = ledger_path
-    _WORKER_PROFILE_DIR = profile_dir
-
-
-def _run_cell(item: Tuple[int, RunConfig]) -> Tuple[int, RunResult, float]:
-    index, config = item
-    path = _WORKER_LEDGER_PATH
-    worker_emit(
-        path, ATTEMPT_START, cell=index, attempt=1, workload=config.workload
-    )
-    start = time.perf_counter()
-    if _WORKER_PROFILE_DIR is not None:
-        spool = _profile_spool_path(_WORKER_PROFILE_DIR, index, 1)
-        result = profile_call(spool, run_benchmark, config, _WORKER_COST_MODEL)
-        worker_emit(path, PROFILE, cell=index, attempt=1, spool=spool)
-    else:
-        result = run_benchmark(config, _WORKER_COST_MODEL)
-    wall = time.perf_counter() - start
-    worker_emit(
-        path,
-        ATTEMPT_END,
-        cell=index,
-        attempt=1,
-        ok=True,
-        wall_s=wall,
-        workload=config.workload,
-    )
-    return index, result, wall
-
-
-# ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
 def run_grid(
@@ -208,23 +167,26 @@ def run_grid(
 ) -> Tuple[List[RunResult], SweepStats]:
     """Execute every cell; results come back in input order.
 
-    ``jobs <= 1`` runs inline (no pool); ``jobs == 0`` means auto
-    (:func:`default_jobs`). Cached cells never reach the pool.
+    ``jobs == 0`` means auto (:func:`default_jobs`). Cached cells never
+    reach an executor. The rest take one of two routes:
 
-    Passing ``retry`` and/or ``timeout_s`` routes uncached cells
-    through the fault-tolerant executor (:mod:`repro.sim.ftexec`):
-    crashed, erroring, or overrunning workers are retried with backoff,
-    and cells failing persistently are quarantined — the returned list
-    then contains only the surviving results (still input-ordered) and
-    ``stats.fault_tolerance`` reports the casualties. ``chaos`` is the
-    test/CI hook that injects worker failures.
+    * **in-process**, for ``jobs <= 1`` with no ``retry``, ``timeout_s``
+      or ``chaos``: cells run one after another in this process, and an
+      exception from a cell propagates;
+    * **the worker executor** (:mod:`repro.sim.ftexec`) for everything
+      else: erroring, crashed or overrunning attempts are retried under
+      ``retry`` (default: a single attempt) and cells that keep failing
+      are quarantined — the returned list then contains only the
+      surviving results (still input-ordered) and
+      ``stats.fault_tolerance`` reports the casualties. ``chaos`` is
+      the test/CI hook that injects worker failures.
 
     ``ledger`` is the flight recorder (:mod:`repro.obs.ledger`):
     parent-side events go through it (and its listeners — live
     progress, serve job counters); workers append straight to its
     ``path``, if any. ``profile_dir`` arms per-attempt cProfile
-    spooling in workers. Both are strictly observational — they never
-    change the returned results.
+    spooling. Both are strictly observational — they never change the
+    returned results.
     """
     if jobs == 0:
         jobs = default_jobs()
@@ -276,9 +238,7 @@ def run_grid(
 
     completed = 0
 
-    def _complete(
-        index: int, result: RunResult, wall: float, collect: bool = True
-    ) -> None:
+    def _complete(index: int, result: RunResult, wall: float) -> None:
         nonlocal completed
         results[index] = result
         stats.busy_s += wall
@@ -292,10 +252,6 @@ def run_grid(
                 completed=result.completed,
             )
         )
-        if collect:
-            recorder.emit(
-                COLLECT, cell=index, workload=result.config.workload, wall_s=wall
-            )
         if cache is not None:
             store_start = time.perf_counter()
             cache.put(result.config, result)
@@ -315,60 +271,34 @@ def run_grid(
             )
 
     teardown_s = 0.0
-    if pending:
-        if retry is not None or timeout_s is not None or chaos is not None:
-            # The executor emits dispatch/collect itself (it learns of
-            # completions at reap time, not in bulk afterwards).
-            completions, ft_report = run_cells_fault_tolerant(
-                pending,
-                cost_model,
-                jobs,
-                retry or RetryPolicy(),
-                timeout_s=timeout_s,
-                progress=progress,
-                chaos=chaos,
-                describe=_describe,
-                ledger=recorder,
-                profile_dir=profile_dir,
+    in_process = jobs <= 1 and retry is None and timeout_s is None
+    if pending and in_process and chaos is None:
+        for index, config in pending:
+            recorder.emit(DISPATCH, cell=index, workload=config.workload)
+            result, wall = run_attempt(
+                index, config, 1, cost_model, recorder.path, profile_dir
             )
-            stats.fault_tolerance.merge(ft_report)
-            for index, result, wall in completions:
-                _complete(index, result, wall, collect=False)
-        elif jobs <= 1:
-            _init_worker(cost_model, recorder.path, profile_dir)
-            try:
-                for item in pending:
-                    recorder.emit(
-                        DISPATCH, cell=item[0], workload=item[1].workload
-                    )
-                    index, result, wall = _run_cell(item)
-                    _complete(index, result, wall)
-            finally:
-                _init_worker(DEFAULT_COST_MODEL)
-        else:
-            workers = min(jobs, len(pending))
-            context = multiprocessing.get_context()
-            # Dispatch means "queued on the pool": the gap to each
-            # cell's attempt_start is time spent waiting for a slot —
-            # including the pool's own startup, hence before Pool().
-            for index, config in pending:
-                recorder.emit(DISPATCH, cell=index, workload=config.workload)
-            pool = context.Pool(
-                workers,
-                initializer=_init_worker,
-                initargs=(cost_model, recorder.path, profile_dir),
+            recorder.emit(
+                COLLECT, cell=index, workload=config.workload, wall_s=wall
             )
-            try:
-                for index, result, wall in pool.imap_unordered(_run_cell, pending):
-                    _complete(index, result, wall)
-            finally:
-                # Same semantics as `with Pool(...)` (__exit__ calls
-                # terminate), but timed: winding the pool down is real
-                # wall time the ledger must account for.
-                teardown_start = time.perf_counter()
-                pool.terminate()
-                pool.join()
-                teardown_s = time.perf_counter() - teardown_start
+            _complete(index, result, wall)
+    elif pending:
+        # The executor emits dispatch/collect itself and hands each
+        # completion over as it arrives, so the cache fills as it goes.
+        _, ft_report, teardown_s = run_cells_fault_tolerant(
+            pending,
+            cost_model,
+            jobs,
+            retry or SINGLE_ATTEMPT,
+            timeout_s=timeout_s,
+            progress=progress,
+            chaos=chaos,
+            describe=_describe,
+            ledger=recorder,
+            profile_dir=profile_dir,
+            on_complete=_complete,
+        )
+        stats.fault_tolerance.merge(ft_report)
 
     stats.timings.sort(key=lambda timing: timing.index)
     stats.wall_s = time.perf_counter() - started

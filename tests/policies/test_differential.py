@@ -5,9 +5,9 @@ oracle is a set of golden ``RunResult`` dumps generated at the commit
 *before* the policy refactor (``tests/golden/*.json``); every test here
 asserts today's simulator reproduces them byte-for-byte:
 
-* through every executor ``run_grid`` has (inline, process pool and
-  fault-tolerant process-per-attempt), one golden at a time and as a
-  whole grid,
+* through both ``run_grid`` routes (in-process, and the persistent
+  worker executor with and without retries), one golden at a time and
+  as a whole grid,
 * and — hypothesis-driven — at the serialization layer, where a config
   spelling the defaults explicitly must be indistinguishable from one
   that never mentions a policy (same dict, same cache key, no policy
@@ -64,13 +64,13 @@ def test_default_policies_match_pre_refactor_golden(path):
         {"jobs": 2},
         {"jobs": 2, "retry": RetryPolicy()},
     ],
-    ids=["inline", "pool", "fault-tolerant"],
+    ids=["inline", "workers", "workers-retry"],
 )
 def test_golden_reproduced_by_every_executor(executor):
     # One golden suffices per executor: kernel equivalence across the
     # full input space is property-tested in tests/heap. This pins the
-    # way each executor hands the RunResult back: in-process, pickled
-    # through the pool, or as the fault-tolerant attempt's JSON record.
+    # way each route hands the RunResult back: in-process, or pickled
+    # over a worker's pipe under a single-attempt or retry policy.
     config, expected = golden_case(GOLDEN_FILES[0])
     results, _stats = run_grid([config], **executor)
     assert len(results) == 1
@@ -80,7 +80,7 @@ def test_golden_reproduced_by_every_executor(executor):
 @pytest.mark.parametrize(
     "executor",
     [{"jobs": 2}, {"jobs": 2, "retry": RetryPolicy()}],
-    ids=["pool", "fault-tolerant"],
+    ids=["workers", "workers-retry"],
 )
 def test_golden_grid_reproduced_in_input_order(executor):
     # Two workers finish the goldens out of order; each result must

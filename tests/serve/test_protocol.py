@@ -49,8 +49,10 @@ class TestEnvelopes:
 
 
 class TestDescribeRetry:
-    def test_none_means_plain_pool(self):
-        assert protocol.describe_retry(None) is None
+    def test_none_means_single_attempt(self):
+        view = protocol.describe_retry(None)
+        assert view["max_attempts"] == 1
+        assert view == protocol.describe_retry(RetryPolicy(max_attempts=1))
 
     def test_policy_fields(self):
         view = protocol.describe_retry(RetryPolicy(max_attempts=5))

@@ -126,7 +126,7 @@ class TestExecutorWithFakeClock:
     def test_clean_run_completes_every_cell(self):
         clock = FakeClock()
         cells = tiny_cells(2)
-        completions, report = run_cells_fault_tolerant(
+        completions, report, _ = run_cells_fault_tolerant(
             cells, DEFAULT_COST_MODEL, jobs=2, policy=RetryPolicy(),
             clock=clock,
         )
@@ -143,7 +143,7 @@ class TestExecutorWithFakeClock:
         clock = FakeClock()
         chaos = ChaosConfig(mode="raise", probability=1.0)
         policy = RetryPolicy(max_attempts=2, base_delay_s=4.0, jitter=0.0)
-        completions, report = run_cells_fault_tolerant(
+        completions, report, _ = run_cells_fault_tolerant(
             tiny_cells(2), DEFAULT_COST_MODEL, jobs=2, policy=policy,
             clock=clock, chaos=chaos,
         )
@@ -167,7 +167,7 @@ class TestExecutorWithFakeClock:
                           failure_model=FailureModel()))
         ]
         policy = RetryPolicy(max_attempts=1)
-        completions, report = run_cells_fault_tolerant(
+        completions, report, _ = run_cells_fault_tolerant(
             cells, DEFAULT_COST_MODEL, jobs=1, policy=policy,
             timeout_s=0.05, clock=clock,
         )
@@ -228,9 +228,120 @@ class TestLedgerEmission:
         assert ends and all(e["ok"] is False for e in ends)
 
     def test_no_ledger_means_no_emission(self):
-        completions, report = run_cells_fault_tolerant(
+        completions, report, _ = run_cells_fault_tolerant(
             tiny_cells(1), DEFAULT_COST_MODEL, jobs=1,
             policy=RetryPolicy(), clock=FakeClock(), ledger=None,
         )
         assert report.clean
         assert len(completions) == 1
+
+
+def attempt_pids(path):
+    from repro.obs.ledger import read_ledger
+
+    events, problems = read_ledger(path)
+    assert problems == []
+    return {e["pid"] for e in events if e["ev"] == "attempt_start"}
+
+
+class TestPersistentWorkers:
+    """One long-lived worker per job slot; a dead one is replaced."""
+
+    GRID = [cell for _, cell in tiny_cells(6)]
+
+    def test_workers_are_reused_across_cells(self, tmp_path):
+        from repro.obs.ledger import SweepLedger
+        from repro.sim.parallel import run_grid
+
+        ledger = SweepLedger(str(tmp_path / "ledger.jsonl"))
+        results, _ = run_grid(
+            self.GRID, jobs=2, retry=RetryPolicy(), ledger=ledger
+        )
+        assert len(results) == 6
+        assert len(attempt_pids(ledger.path)) <= 2
+
+    def test_killed_worker_is_replaced(self, tmp_path):
+        from repro.obs.ledger import SweepLedger
+        from repro.sim.cache import result_to_dict
+        from repro.sim.parallel import run_grid
+
+        def hits(chaos):
+            return [
+                attempt
+                for cell in range(len(self.GRID))
+                for attempt in (1, 2)
+                if chaos.should_injure(cell, attempt)
+            ]
+
+        # A seed that kills exactly one cell's first attempt and
+        # spares every other attempt.
+        chaos = next(
+            chaos
+            for chaos in (ChaosConfig("kill", 0.2, seed) for seed in range(1000))
+            if hits(chaos) == [1]
+        )
+        policy = RetryPolicy(max_attempts=2, base_delay_s=0.01)
+        clean, _ = run_grid(self.GRID, jobs=2)
+        ledger = SweepLedger(str(tmp_path / "ledger.jsonl"))
+        disturbed, stats = run_grid(
+            self.GRID, jobs=2, retry=policy, chaos=chaos, ledger=ledger
+        )
+        assert [result_to_dict(r) for r in disturbed] == \
+            [result_to_dict(r) for r in clean]
+        assert stats.fault_tolerance.worker_crashes == 1
+        assert stats.fault_tolerance.retries == 1
+        assert len(attempt_pids(ledger.path)) == 3
+
+
+class TestDefaultPolicy:
+    def test_failing_cell_quarantined_without_retry(self):
+        # No retry policy: a raising cell gets one attempt and is
+        # quarantined; the sweep still returns.
+        from repro.sim.parallel import run_grid
+
+        grid = [cell for _, cell in tiny_cells(2)]
+        results, stats = run_grid(
+            grid, jobs=2, chaos=ChaosConfig("raise", 1.0)
+        )
+        report = stats.fault_tolerance
+        assert results == []
+        assert report.retries == 0
+        assert report.worker_errors == 2
+        assert [cell.attempts for cell in report.quarantined] == [1, 1]
+
+
+class TestOrphanSafety:
+    """A worker whose parent goes away exits 0, without a traceback."""
+
+    @staticmethod
+    def start_worker():
+        import multiprocessing
+
+        from repro.sim.ftexec import _worker_main
+
+        context = multiprocessing.get_context()
+        parent_end, child_end = context.Pipe()
+        process = context.Process(
+            target=_worker_main,
+            args=(child_end, [parent_end], DEFAULT_COST_MODEL, None, None,
+                  None),
+            daemon=True,  # a failing test must not hang interpreter exit
+        )
+        process.start()
+        child_end.close()
+        return process, parent_end
+
+    def test_exits_quietly_when_idle_pipe_closes(self, capfd):
+        process, parent_end = self.start_worker()
+        parent_end.close()
+        process.join(30)
+        assert process.exitcode == 0
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_exits_quietly_when_reply_pipe_is_broken(self, capfd):
+        process, parent_end = self.start_worker()
+        parent_end.send(tiny_cells(1)[0] + (1,))
+        parent_end.close()  # the reply has nowhere to go
+        process.join(30)
+        assert process.exitcode == 0
+        assert "Traceback" not in capfd.readouterr().err

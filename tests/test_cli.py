@@ -133,6 +133,40 @@ class TestCommands:
         assert len(payload["results"]) == 2
         assert payload["fault_tolerance"]["quarantined"] == []
 
+    def test_parallel_sweep_quarantines_failing_cell(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # No retry flags: the raising cell gets one attempt, then the
+        # sweep exits 3 with the surviving cell in a partial artifact.
+        import json
+
+        from repro.sim import ftexec
+
+        real = ftexec.run_benchmark
+
+        def flaky(config, cost_model):
+            if config.failure_model.rate > 0:
+                raise RuntimeError("cell blew up")
+            return real(config, cost_model)
+
+        monkeypatch.setattr(ftexec, "run_benchmark", flaky)  # workers fork
+        out = tmp_path / "BENCH_sweep.json"
+        code = main(
+            ["sweep", "--workloads", "luindex", "--rates", "0", "0.1",
+             "--heaps", "2.0", "--scale", "0.2", "--jobs", "2",
+             "--out", str(out)]
+        )
+        assert code == 3
+        assert "quarantined" in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        assert len(payload["results"]) == 1
+        report = payload["fault_tolerance"]
+        assert report["retries"] == 0
+        assert report["worker_errors"] == 1
+        (cell,) = report["quarantined"]
+        assert cell["attempts"] == 1
+        assert "RuntimeError: cell blew up" in cell["failures"][0]
+
     def test_sweep_cache_hits_on_second_run(self, capsys, tmp_path):
         import json
 
