@@ -35,7 +35,7 @@ def uniform_map(n_lines: int, rate: float, seed: int = 0) -> FailureMap:
         return FailureMap(n_lines)
     rng = np.random.default_rng(seed)
     failed = np.flatnonzero(rng.random(n_lines) < rate)
-    return FailureMap(n_lines, (int(i) for i in failed))
+    return FailureMap(n_lines, failed.tolist())
 
 
 def clustered_map(

@@ -30,8 +30,13 @@ class FailureMap:
             raise ValueError("n_lines must be >= 0")
         self.n_lines = n_lines
         failed: FrozenSet[int] = frozenset(failed_lines)
-        for line in failed:
-            if not 0 <= line < n_lines:
+        if failed:
+            # One min/max pass validates the whole batch and names a
+            # deterministic offender: the lowest line below zero, else
+            # the highest line past the end.
+            lowest, highest = min(failed), max(failed)
+            if lowest < 0 or highest >= n_lines:
+                line = lowest if lowest < 0 else highest
                 raise AddressError(f"failed line {line} outside map of {n_lines} lines")
         self._failed = failed
 

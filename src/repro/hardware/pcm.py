@@ -213,12 +213,18 @@ class PcmModule:
 
         The lines are recorded directly in the logical view: the fault
         injector already applied any clustering transform it wanted.
+        The whole batch is validated before anything is recorded, so a
+        rejected batch leaves the module untouched.
         """
-        for line in logical_lines:
-            if not 0 <= line < self.n_lines:
-                raise AddressError(f"line {line} outside module")
-            self._failed_logical.add(line)
-            self._failed_physical.add(line)
+        lines = frozenset(logical_lines)
+        if not lines:
+            return
+        lowest, highest = min(lines), max(lines)
+        if lowest < 0 or highest >= self.n_lines:
+            line = lowest if lowest < 0 else highest
+            raise AddressError(f"line {line} outside module")
+        self._failed_logical.update(lines)
+        self._failed_physical.update(lines)
 
     # ------------------------------------------------------------------
     # Datapath

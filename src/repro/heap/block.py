@@ -133,29 +133,30 @@ class Block:
 
         Identical final state to calling :meth:`_seed_failed_pcm_line`
         per offset — the seeded set and byte writes are idempotent and
-        order-independent — but with the geometry lookups hoisted and a
-        single cache invalidation, which matters because construction
-        seeds thousands of lines per cell at paper failure rates.
+        order-independent — but with the geometry lookups hoisted, each
+        page's lines collected by one comprehension, one byte write per
+        poisoned Immix line rather than per failed PCM line, and a single
+        cache invalidation. Construction seeds thousands of lines per
+        cell at paper failure rates.
         """
         page_size = self.geometry.page
         pcm_line = self.geometry.pcm_line
         immix_line = self.geometry.immix_line
         failed = self.failed_lines
-        lines = self.table.lines
-        marks = self.table.fail_marks
-        base = self._base
         for page_slot, page in enumerate(pages):
-            offsets = page.failed_offsets
-            if not offsets:
-                continue
-            page_base = page_slot * page_size
-            for offset in offsets:
-                line = (page_base + offset * pcm_line) // immix_line
-                if line not in failed:
-                    failed.add(line)
-                    lines[base + line] = FAILED
-                    marks[base + line] = 1
+            if page.failed_offsets:
+                page_base = page_slot * page_size
+                failed.update([
+                    (page_base + offset * pcm_line) // immix_line
+                    for offset in page.failed_offsets
+                ])
         if failed:
+            lines = self.table.lines
+            marks = self.table.fail_marks
+            base = self._base
+            for line in failed:
+                lines[base + line] = FAILED
+                marks[base + line] = 1
             self.touch_lines()
 
     def _seed_failed_pcm_line(self, page_slot: int, pcm_offset: int) -> Tuple[int, bool]:

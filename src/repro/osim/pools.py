@@ -36,16 +36,14 @@ class PagePools:
                 f"choose from {self.SUPPLY_ORDERS}"
             )
         self.supply_order = supply_order
-        self.pages: Dict[int, PhysicalPage] = {}
-        self._perfect: Deque[int] = deque()
+        dram = range(n_pcm_pages, n_pcm_pages + n_dram_pages)
+        self.pages: Dict[int, PhysicalPage] = {
+            index: PhysicalPage(index, PageKind.PCM) for index in range(n_pcm_pages)
+        }
+        self.pages.update({index: PhysicalPage(index, PageKind.DRAM) for index in dram})
+        self._perfect: Deque[int] = deque(range(n_pcm_pages))
         self._imperfect: Deque[int] = deque()
-        self._dram: Deque[int] = deque()
-        for index in range(n_pcm_pages):
-            self.pages[index] = PhysicalPage(index, PageKind.PCM)
-            self._perfect.append(index)
-        for index in range(n_pcm_pages, n_pcm_pages + n_dram_pages):
-            self.pages[index] = PhysicalPage(index, PageKind.DRAM)
-            self._dram.append(index)
+        self._dram: Deque[int] = deque(dram)
         self._allocated: set = set()
 
     # ------------------------------------------------------------------

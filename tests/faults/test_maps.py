@@ -28,6 +28,12 @@ class TestBasics:
         with pytest.raises(AddressError):
             FailureMap(10, [10])
 
+    def test_out_of_range_error_names_extreme_offender(self):
+        with pytest.raises(AddressError, match="line 12 "):
+            FailureMap(10, [11, 3, 12, 10])
+        with pytest.raises(AddressError, match="line -2 "):
+            FailureMap(10, [-1, 11, -2])
+
     def test_iteration_sorted(self):
         assert list(FailureMap(10, [9, 1, 5])) == [1, 5, 9]
 

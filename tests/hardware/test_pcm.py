@@ -72,6 +72,13 @@ class TestStaticOperation:
         with pytest.raises(AddressError):
             module.inject_static_failures([module.n_lines])
 
+    def test_rejected_batch_leaves_module_untouched(self):
+        module = PcmModule(size_bytes=8192, geometry=Geometry())
+        with pytest.raises(AddressError, match="line 1000000 "):
+            module.inject_static_failures([0, 5, 10**6])
+        assert module.failed_logical_lines() == set()
+        assert module.failed_fraction() == 0.0
+
     def test_write_to_failed_line_is_parked_not_lost(self):
         module, interrupts = make_module()
         module.inject_static_failures([1])

@@ -1,4 +1,4 @@
-"""Naive reference implementations of the heap kernels, for tests only.
+"""Naive reference implementations of the heap and OS kernels, for tests only.
 
 Each function here is the plain per-line, per-slot or per-bit loop that
 a kernel in ``src/`` replaced. The property suites in ``tests/heap/``
@@ -12,7 +12,7 @@ randomly worn OS failure table.
 """
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hardware.geometry import Geometry
 from repro.heap.block import Block
@@ -164,6 +164,43 @@ def compressed_size_bytes_reference(table: FailureTable) -> int:
                 previous = bit
         total += 2 + min(runs, per_page // 8)
     return total
+
+
+def absorb_static_failures_reference(os_mm, failed_lines: Iterable[int]) -> None:
+    """Absorb an aged module's failures into a fresh OS one line at a time.
+
+    The per-line loop ``OsMemoryManager`` ran at construction before the
+    batch loader: record each sorted line in the failure table and on
+    its page descriptor, then move the degraded pages out of the
+    perfect pool in the order they first failed.
+    """
+    per_page = os_mm.geometry.lines_per_page
+    degraded: List[int] = []
+    for global_line in sorted(failed_lines):
+        page_index, offset = divmod(global_line, per_page)
+        if os_mm.failure_table.record_failure(page_index, offset):
+            degraded.append(page_index)
+        os_mm.pools.page(page_index).record_failure(offset)
+    os_mm.pools.note_pages_degraded(degraded)
+
+
+def os_absorption_state(os_mm) -> tuple:
+    """Every piece of OS state absorption writes, for exact comparison:
+    the failure table's bitmaps, count, imperfect list and decoded
+    offsets, the pool deques in order, and each page descriptor's
+    offsets."""
+    table = os_mm.failure_table
+    pools = os_mm.pools
+    return (
+        table.save(),
+        table.failed_line_count(),
+        table.imperfect_pages(),
+        {page: table.failed_offsets(page) for page in range(table.n_pages)},
+        list(pools._perfect),
+        list(pools._imperfect),
+        list(pools._dram),
+        {index: page.failed_offsets for index, page in pools.pages.items()},
+    )
 
 
 # ----------------------------------------------------------------------

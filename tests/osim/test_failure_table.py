@@ -66,6 +66,44 @@ class TestPersistence:
         assert table.failed_offsets(0) == {3}
         assert table.failed_offsets(2) == {5}
 
+    def test_rebuild_takes_unsorted_duplicate_lines(self):
+        lines = [G.lines_per_page * 3 + 1, 7, 3, 7, G.lines_per_page * 3 + 1]
+        table = FailureTable.rebuild_from_lines(lines, 4, G)
+        assert table.save() == {0: (1 << 3) | (1 << 7), 3: 1 << 1}
+        assert table.failed_line_count() == 3
+        assert table.imperfect_pages() == [0, 3]
+
+    def test_batch_load_fills_queries_and_cache(self):
+        table = FailureTable(4, G)
+        assert table.failed_offsets(2) == frozenset()
+        base = G.lines_per_page
+        batch = table.load_lines([2 * base, base + 9, base + 5])
+        assert batch == {1: {5, 9}, 2: {0}}
+        assert table.failed_offsets(1) == {5, 9}
+        assert table.failed_offsets(2) == {0}
+        assert table.bitmap(1) == (1 << 5) | (1 << 9)
+        assert table.failed_line_count() == 3
+        assert table.imperfect_pages() == [1, 2]
+        assert table.record_failure(3, 0)
+        assert table.imperfect_pages() == [1, 2, 3]
+
+    def test_batch_load_needs_an_empty_table(self):
+        table = FailureTable(4, G)
+        table.record_failure(1, 5)
+        with pytest.raises(ValueError):
+            table.load_lines([0])
+        assert table.save() == {1: 1 << 5}
+
+    def test_rejected_batch_leaves_table_untouched(self):
+        table = FailureTable(4, G)
+        with pytest.raises(IndexError, match="page 4 "):
+            table.load_lines([0, 5, 4 * G.lines_per_page])
+        with pytest.raises(IndexError, match="page -1 "):
+            table.load_lines([-1, 5])
+        assert table.save() == {}
+        assert table.failed_line_count() == 0
+        assert table.load_lines([]) == {}
+
     def test_restore_validates_pages(self):
         with pytest.raises(IndexError):
             FailureTable.restore({9: 1}, 4, G)
