@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Set
+from typing import FrozenSet
 
 
 class PageKind(Enum):
@@ -19,12 +19,14 @@ class PhysicalPage:
     """One physical page and its failure state.
 
     ``failed_offsets`` holds page-relative PCM line offsets (0..63 for
-    the paper's 4 KB/64 B geometry). DRAM pages never fail.
+    the paper's 4 KB/64 B geometry). It is replaced, never mutated, on
+    each failure, so the OS can hand a page the failure table's cached
+    set at boot. DRAM pages never fail.
     """
 
     index: int
     kind: PageKind = PageKind.PCM
-    failed_offsets: Set[int] = field(default_factory=set)
+    failed_offsets: FrozenSet[int] = frozenset()
 
     @property
     def is_perfect(self) -> bool:
@@ -37,7 +39,7 @@ class PhysicalPage:
     def record_failure(self, offset: int) -> None:
         if self.kind is PageKind.DRAM:
             raise ValueError("DRAM pages do not fail in this model")
-        self.failed_offsets.add(offset)
+        self.failed_offsets = self.failed_offsets | {offset}
 
     def compatible_destination_for(self, source: "PhysicalPage") -> bool:
         """Can data written around ``source``'s holes land on this page?
