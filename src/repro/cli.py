@@ -13,16 +13,16 @@ Commands
 ``serve``      long-running shared-cache experiment service (HTTP)
 ``workloads``  list the synthetic DaCapo-style workloads
 
-Grids can be spelled as flags or as declarative **experiment plans**
-(YAML/JSON files with Cartesian sweep expansion; see
-:mod:`repro.sim.plan` and the shipped files under ``plans/``):
-``repro plan FILE`` prechecks a plan against the schema and exits 2 on
-any violation, ``repro plan FILE --dry-run`` renders the fully
-expanded cell list (with estimated cache hits against ``--cache-dir``)
-without executing anything, and ``sweep --plan FILE`` /
-``figures --plan FILE`` execute one — through exactly the same
-cache/retry/quarantine machinery as the flag spelling, producing a
-bit-identical ``results`` section for the same grid.
+Every grid takes one route. It is an **experiment plan** (YAML/JSON
+with Cartesian sweep expansion; see :mod:`repro.sim.plan` and
+``plans/``) — ``sweep``'s grid flags compile to one and take the same
+precheck, so a bad value exits 2 — and its cells run through
+:func:`repro.sim.parallel.run_grid`, traced or not. ``repro plan
+FILE`` prechecks a plan file, ``repro plan FILE --dry-run`` renders
+the expanded cell list (with estimated cache hits against
+``--cache-dir``) without executing anything, and ``sweep --plan
+FILE`` / ``figures --plan FILE`` execute one. The same grid gives a
+bit-identical ``results`` section whichever way it is spelled.
 
 The ``figures`` and ``sweep`` commands accept ``--jobs`` (fan the grid
 out over worker processes; results are bit-identical to serial) and
@@ -48,7 +48,8 @@ stdout carries primary output — human reports (suppressed by ``-q``)
 and machine-readable JSON (never suppressed) — while stderr carries
 narration. ``figures``, ``sweep`` and ``bench`` accept ``--trace`` and
 ``--metrics-out`` to record Chrome traces / Prometheus metrics of the
-runs they execute; ``trace`` is the dedicated single-run recorder and
+runs they execute (a traced grid takes ``run_grid``'s in-process,
+uncached route); ``trace`` is the dedicated single-run recorder and
 defaults to a *wearing* module so the hardware failure path is hot.
 
 Where the *harness* spends real wall-clock time is a separate
@@ -88,7 +89,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import replace
 from typing import List, Optional
 
@@ -107,7 +107,7 @@ from .obs.metrics import (
 )
 from .obs.profile import merge_profiles, render_hotspots
 from .obs.trace import DEFAULT_CAPACITY, Tracer
-from .sim.cache import ResultCache, result_to_dict
+from .sim.cache import ResultCache
 from .sim.chaos import ChaosConfig
 from .sim.experiment import ExperimentRunner
 from .sim.ftexec import RetryPolicy
@@ -117,13 +117,45 @@ from .sim.machine import (
     run_benchmark,
     run_wearing_benchmark,
 )
-from .sim.parallel import run_grid
-from .sim.plan import cell_slug, dry_run_payload, load_and_expand, render_dry_run
+from .sim.parallel import run_grid, sweep_artifact
+from .sim.plan import (
+    CELL_FIELDS,
+    PLAN_SCHEMA,
+    dry_run_payload,
+    expand,
+    load_and_expand,
+    render_dry_run,
+)
 from .sim.snapshot import CheckpointPolicy
+from .sim.tracing import TraceDirectory, trace_metadata
 from .workloads.dacapo import DACAPO
 
 #: figure name -> callable(runner, scale) -> list of FigureResult
 _FIGURES = {}
+
+
+#: ``sweep``'s single-valued grid flags, which become plan defaults.
+_SWEEP_FIXED_FLAGS = (
+    "clustering", "line", "scale", "wear_policy", "pool_policy", "placement_policy",
+)
+
+#: The parser defaults of ``sweep``'s grid flags, by argparse attribute:
+#: the plan's own built-in defaults except for the workload and rate
+#: axes. The ``--plan`` conflict check compares against these too.
+_SWEEP_GRID_DEFAULTS = {
+    "workloads": None,  # the analysis suite
+    "rates": [0.0, 0.10, 0.25, 0.50],
+    "heaps": [CELL_FIELDS["heap"][1]],
+    "seeds": [CELL_FIELDS["seed"][1]],
+    **{name: CELL_FIELDS[name][1] for name in _SWEEP_FIXED_FLAGS},
+}
+
+#: The parser defaults of what ``figures --plan`` takes from the plan.
+_FIGURES_PLAN_DEFAULTS = {
+    "names": ["headline"],
+    "scale": CELL_FIELDS["scale"][1],
+    "seeds": [CELL_FIELDS["seed"][1]],
+}
 
 
 def _register_figures() -> None:
@@ -172,11 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "names",
         nargs="*",
-        default=["headline"],
+        default=_FIGURES_PLAN_DEFAULTS["names"],
         help="figure ids (fig3..fig10, pauses, headline, or 'all')",
     )
-    figures.add_argument("--scale", type=float, default=0.35)
-    figures.add_argument("--seeds", type=int, nargs="+", default=[0])
+    figures.add_argument("--scale", type=float, default=_FIGURES_PLAN_DEFAULTS["scale"])
+    figures.add_argument(
+        "--seeds", type=int, nargs="+", default=_FIGURES_PLAN_DEFAULTS["seeds"]
+    )
     figures.add_argument("--progress", action="store_true")
     figures.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -208,18 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="run a (workload x rate x heap) grid in parallel"
     )
+    grid = _SWEEP_GRID_DEFAULTS
     sweep.add_argument(
-        "--workloads", nargs="+", default=None, metavar="NAME",
+        "--workloads", nargs="+", default=grid["workloads"], metavar="NAME",
         help="workload subset (default: analysis suite)",
     )
+    sweep.add_argument("--rates", type=float, nargs="+", default=grid["rates"])
+    sweep.add_argument("--heaps", type=float, nargs="+", default=grid["heaps"])
     sweep.add_argument(
-        "--rates", type=float, nargs="+", default=[0.0, 0.10, 0.25, 0.50]
+        "--clustering", type=int, default=grid["clustering"], metavar="PAGES"
     )
-    sweep.add_argument("--heaps", type=float, nargs="+", default=[2.0])
-    sweep.add_argument("--clustering", type=int, default=0, metavar="PAGES")
-    sweep.add_argument("--line", type=int, default=256, choices=[64, 128, 256])
-    sweep.add_argument("--seeds", type=int, nargs="+", default=[0])
-    sweep.add_argument("--scale", type=float, default=0.35)
+    sweep.add_argument("--line", type=int, default=grid["line"], choices=[64, 128, 256])
+    sweep.add_argument("--seeds", type=int, nargs="+", default=grid["seeds"])
+    sweep.add_argument("--scale", type=float, default=grid["scale"])
     _add_policy_arguments(sweep)
     sweep.add_argument(
         "--out",
@@ -495,20 +530,20 @@ def _add_policy_arguments(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument(
         "--wear-policy",
-        default="none",
+        default=CELL_FIELDS["wear_policy"][1],
         choices=sorted(WEAR_POLICIES),
         help="hardware wear-leveling policy (default: %(default)s, "
         "the paper's design)",
     )
     parser.add_argument(
         "--pool-policy",
-        default="paper",
+        default=CELL_FIELDS["pool_policy"][1],
         choices=sorted(POOL_POLICIES),
         help="OS page-pool supply/migration policy (default: %(default)s)",
     )
     parser.add_argument(
         "--placement-policy",
-        default="paper",
+        default=CELL_FIELDS["placement_policy"][1],
         choices=sorted(PLACEMENT_POLICIES),
         help="runtime large-object placement policy (default: %(default)s)",
     )
@@ -598,9 +633,12 @@ def _build_retry_policy(args) -> Optional[RetryPolicy]:
     )
 
 
-def _sweep_metrics_registry(stats) -> MetricsRegistry:
-    """Executor counters as metrics (the untraced sweep/figures path)."""
-    registry = MetricsRegistry()
+def _sweep_metrics_registry(
+    stats, registry: Optional[MetricsRegistry] = None
+) -> MetricsRegistry:
+    """Executor counters as metrics, added to ``registry`` (a traced
+    sweep's, which its tracers fed) or to a fresh one."""
+    registry = registry if registry is not None else MetricsRegistry()
     report = stats.fault_tolerance
     registry.counter(
         SWEEP_RETRIES_TOTAL, "cell attempts retried after a failure"
@@ -682,33 +720,6 @@ def _build_cache(args) -> Optional[ResultCache]:
     return cache
 
 
-def _trace_slug(config: RunConfig) -> str:
-    """Filesystem-safe cell identifier for per-cell trace files.
-
-    Delegates to :func:`repro.sim.plan.cell_slug`, which covers every
-    sweepable dimension — an earlier version omitted clustering and
-    scale, so cells differing only there overwrote each other's traces.
-    """
-    return cell_slug(config)
-
-
-def _trace_metadata(config: RunConfig, result=None) -> dict:
-    meta = {
-        "workload": config.workload,
-        "collector": config.collector,
-        "rate": config.failure_model.rate,
-        "heap_multiplier": config.heap_multiplier,
-        "immix_line": config.immix_line,
-        "seed": config.seed,
-        "scale": config.scale,
-    }
-    if result is not None:
-        meta["completed"] = result.completed
-        meta["time_units"] = result.time_units
-        meta["dynamic_failed_lines"] = result.stats.get("dynamic_failed_lines", 0)
-    return meta
-
-
 def _write_metrics(registry: MetricsRegistry, path: str) -> None:
     atomic_write_text(path, registry.render_prometheus())
     obslog.info(f"metrics: {path}")
@@ -735,20 +746,16 @@ def _write_sweep_artifact(path: str, stats_dict: dict) -> None:
     )
 
 
-#: Grid-shape flags `sweep --plan` refuses to mix with a plan file:
-#: (flag, argparse attribute, parser default).
-_SWEEP_GRID_FLAGS = (
-    ("--workloads", "workloads", None),
-    ("--rates", "rates", [0.0, 0.10, 0.25, 0.50]),
-    ("--heaps", "heaps", [2.0]),
-    ("--clustering", "clustering", 0),
-    ("--line", "line", 256),
-    ("--seeds", "seeds", [0]),
-    ("--scale", "scale", 0.35),
-    ("--wear-policy", "wear_policy", "none"),
-    ("--pool-policy", "pool_policy", "paper"),
-    ("--placement-policy", "placement_policy", "paper"),
-)
+def _trace_directory(args) -> TraceDirectory:
+    """A grid command's ``--trace DIR``. The caller then runs every cell
+    in-process and uncached; this warns about what that overrides."""
+    if args.jobs not in (0, 1):
+        obslog.warn("--trace runs cells serially; ignoring --jobs")
+    if args.cache_dir and not args.no_cache:
+        obslog.warn("--trace disables the result cache for this run")
+    if ChaosConfig.from_env() is not None:
+        obslog.warn("--trace runs cells in-process; ignoring REPRO_CHAOS")
+    return TraceDirectory(args.trace)
 
 
 def cmd_figures(args) -> int:
@@ -757,13 +764,11 @@ def cmd_figures(args) -> int:
     scale = args.scale
     seeds = list(args.seeds)
     if args.plan:
-        conflicts = []
-        if names != ["headline"]:
-            conflicts.append("explicit figure names")
-        if scale != 0.35:
-            conflicts.append("--scale")
-        if seeds != [0]:
-            conflicts.append("--seeds")
+        conflicts = [
+            "explicit figure names" if attribute == "names" else "--" + attribute
+            for attribute, default in _FIGURES_PLAN_DEFAULTS.items()
+            if getattr(args, attribute) != default
+        ]
         if conflicts:
             obslog.warn(
                 "--plan supplies the figure list, scale, and seeds; "
@@ -780,6 +785,14 @@ def cmd_figures(args) -> int:
         names = list(plan.figures)
         scale = plan.scale
         seeds = list(plan.seeds)
+    else:
+        # The plan precheck's checkers: both spellings accept the same.
+        errors = [f"--scale: {e}" for e in [CELL_FIELDS["scale"][0](scale)] if e]
+        errors += [f"--seeds: {e}" for e in map(CELL_FIELDS["seed"][0], seeds) if e]
+        for error in errors:
+            obslog.warn(error)
+        if errors:
+            return 2
     if names == ["all"] or "all" in names:
         names = list(_FIGURES)
     unknown = [n for n in names if n not in _FIGURES]
@@ -787,12 +800,6 @@ def cmd_figures(args) -> int:
         obslog.warn(f"unknown figures: {', '.join(unknown)}")
         obslog.warn(f"available: {', '.join(_FIGURES)}")
         return 2
-    progress = (lambda m: obslog.info(f"  .. {m}")) if args.progress else None
-    cache = _build_cache(args)
-    jobs = args.jobs
-    registry = None
-    tracer_factory = None
-    trace_sink = None
     if args.trace and args.ledger:
         # Traced figures run serially in-process; there is no fan-out
         # for a flight recorder to observe.
@@ -801,37 +808,17 @@ def cmd_figures(args) -> int:
             "the fan-out --ledger records; drop one of the two"
         )
         return 2
+    progress = (lambda m: obslog.info(f"  .. {m}")) if args.progress else None
+    tracing = _trace_directory(args) if args.trace else None
+    cache = None if tracing is not None else _build_cache(args)
+    jobs = 1 if tracing is not None else args.jobs
     ledger = SweepLedger(args.ledger) if args.ledger else None
-    if args.trace or args.metrics_out:
-        registry = MetricsRegistry()
-    if args.trace:
-        # Tracers survive neither worker processes nor the disk cache:
-        # a traced figure run is serial and pays for every cell.
-        if jobs != 1:
-            obslog.warn("--trace forces serial execution; ignoring --jobs")
-            jobs = 1
-        if cache is not None:
-            obslog.warn("--trace disables the result cache for this run")
-            cache = None
-        os.makedirs(args.trace, exist_ok=True)
-
-        def tracer_factory(config):
-            return Tracer(metrics=registry)
-
-        def trace_sink(config, tracer):
-            from .obs.export import write_chrome_trace
-
-            path = os.path.join(args.trace, _trace_slug(config) + ".trace.json")
-            write_chrome_trace(tracer, path, metadata=_trace_metadata(config))
-            obslog.debug(f"trace: {path}")
-
     runner = ExperimentRunner(
         seeds=tuple(seeds),
         progress=progress,
         cache=cache,
         jobs=jobs,
-        tracer_factory=tracer_factory,
-        trace_sink=trace_sink,
+        tracing=tracing,
         retry=_build_retry_policy(args),
         timeout_s=args.timeout,
         ledger=ledger,
@@ -854,6 +841,7 @@ def cmd_figures(args) -> int:
             f"{counters['stores']} stores ({args.cache_dir})"
         )
     if args.metrics_out:
+        registry = tracing.registry if tracing is not None else MetricsRegistry()
         _write_metrics(registry, args.metrics_out)
     if ledger is not None and ledger.path:
         obslog.info(
@@ -875,9 +863,26 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    from .workloads.dacapo import DACAPO, analysis_suite
+def _sweep_flags_plan(args) -> dict:
+    """The ``repro.plan/1`` document ``sweep``'s grid flags spell."""
+    from .workloads.dacapo import analysis_suite
 
+    workloads = args.workloads or [spec.name for spec in analysis_suite()]
+    return {
+        "plan": PLAN_SCHEMA,
+        "name": "sweep",
+        "defaults": {name: getattr(args, name) for name in _SWEEP_FIXED_FLAGS},
+        # First axis outermost: workload x rate x heap x seed.
+        "axes": {
+            "workload": workloads,
+            "rate": args.rates,
+            "heap": args.heaps,
+            "seed": args.seeds,
+        },
+    }
+
+
+def cmd_sweep(args) -> int:
     # Conflicting intent is a usage error, not a warning: a user who
     # asked for --resume or retries must not get a silently degraded
     # run (consistent with the --resume-without---cache-dir check).
@@ -904,8 +909,8 @@ def cmd_sweep(args) -> int:
             return 2
     if args.plan:
         conflicts = [
-            flag
-            for flag, attribute, default in _SWEEP_GRID_FLAGS
+            "--" + attribute.replace("_", "-")
+            for attribute, default in _SWEEP_GRID_DEFAULTS.items()
             if getattr(args, attribute) != default
         ]
         if conflicts:
@@ -921,33 +926,12 @@ def cmd_sweep(args) -> int:
                 "figures-only plan?); run it with 'figures --plan'"
             )
             return 2
-        grid = list(plan.cells)
-        obslog.info(f"plan: {plan.name} expands to {len(grid)} cell(s)")
+        obslog.info(f"plan: {plan.name} expands to {len(plan.cells)} cell(s)")
     else:
-        available = [spec.name for spec in DACAPO]
-        names = args.workloads or [spec.name for spec in analysis_suite()]
-        unknown = [name for name in names if name not in available]
-        if unknown:
-            obslog.warn(f"unknown workloads: {', '.join(unknown)}")
-            obslog.warn(f"available: {', '.join(available)}")
-            return 2
-        grid = [
-            RunConfig(
-                workload=name,
-                heap_multiplier=heap,
-                failure_model=FailureModel(rate=rate, hw_region_pages=args.clustering),
-                immix_line=args.line,
-                seed=seed,
-                scale=args.scale,
-                wear_policy=args.wear_policy,
-                pool_policy=args.pool_policy,
-                placement_policy=args.placement_policy,
-            )
-            for name in names
-            for rate in args.rates
-            for heap in args.heaps
-            for seed in args.seeds
-        ]
+        # Compiling the flags gives them the plan precheck: a bad value
+        # or a duplicate cell exits 2 before anything runs.
+        plan = expand(_sweep_flags_plan(args), source="<sweep flags>")
+    grid = plan.cells
     if args.resume and (args.no_cache or not args.cache_dir):
         obslog.warn(
             "--resume replays completed cells from the persistent cache; "
@@ -955,20 +939,16 @@ def cmd_sweep(args) -> int:
         )
         return 2
     if args.trace:
-        if ChaosConfig.from_env() is not None:
-            # The explicit-flag conflicts already errored out above.
-            obslog.warn(
-                "--trace runs serially in-process; ignoring REPRO_CHAOS"
-            )
-        results, stats = _run_traced_sweep(args, grid)
-        ledger = None
+        tracing, ledger = _trace_directory(args), None
+        results, stats = run_grid(grid, tracing=tracing)
+        obslog.info(f"traces: {len(grid)} cell(s) in {args.trace}")
     else:
-        cache = _build_cache(args)
+        tracing = None
         ledger, profile_dir = _build_sweep_recorder(args)
         results, stats = run_grid(
             grid,
             jobs=args.jobs,
-            cache=cache,
+            cache=_build_cache(args),
             retry=_build_retry_policy(args),
             timeout_s=args.timeout,
             chaos=ChaosConfig.from_env(),
@@ -984,8 +964,9 @@ def cmd_sweep(args) -> int:
                 f"resume: {stats.cache_hits} of {len(grid)} cell(s) "
                 f"replayed from {args.cache_dir}"
             )
-        if args.metrics_out:
-            _write_metrics(_sweep_metrics_registry(stats), args.metrics_out)
+    if args.metrics_out:
+        registry = tracing.registry if tracing is not None else None
+        _write_metrics(_sweep_metrics_registry(stats, registry), args.metrics_out)
     obslog.out(f"{'workload':13s} {'rate':>5s} {'heap':>5s} {'seed':>4s} "
                f"{'status':>7s} {'time(ms)':>10s}")
     for result in results:
@@ -1000,68 +981,10 @@ def cmd_sweep(args) -> int:
             f"quarantined: {cell.workload} {cell.description} after "
             f"{cell.attempts} attempt(s): {'; '.join(cell.failures)}"
         )
-    payload = stats.to_dict()
-    if ledger is not None:
-        # Additive wall-clock block from the flight recorder; the
-        # bit-identity CI jobs compare "results" only, so this never
-        # perturbs them.
-        events = read_ledger(ledger.path)[0] if ledger.path else ledger.events
-        payload["wall_clock"] = aggregate(events, top=5)
-    # Deterministic per-cell results (input order, quarantined cells
-    # absent): this is the section the chaos-smoke CI job compares
-    # between a disturbed and an undisturbed sweep.
-    payload["results"] = [result_to_dict(result) for result in results]
-    _write_sweep_artifact(args.out, payload)
+    _write_sweep_artifact(args.out, sweep_artifact(results, stats, ledger))
     # Exit 3 = partial results: the sweep survived, but some cells
     # exhausted their retries and are missing from the artifact.
     return 3 if stats.fault_tolerance.quarantined else 0
-
-
-def _run_traced_sweep(args, grid: List[RunConfig]):
-    """Serial sweep with one tracer per cell and a shared registry.
-
-    Worker processes and the disk cache cannot carry trace events, so
-    the traced path runs every cell inline; the SweepStats record is
-    assembled by hand to keep the BENCH_sweep.json artifact identical
-    in shape to the untraced path.
-    """
-    from .obs.export import write_chrome_trace
-    from .sim.parallel import CellTiming, SweepStats, _describe
-
-    if args.jobs not in (0, 1):
-        obslog.warn("--trace runs the sweep serially; ignoring --jobs")
-    if args.cache_dir and not args.no_cache:
-        obslog.warn("--trace disables the result cache for this run")
-    os.makedirs(args.trace, exist_ok=True)
-    registry = MetricsRegistry()
-    stats = SweepStats(jobs=1, cells=len(grid))
-    results = []
-    started = time.perf_counter()
-    for index, config in enumerate(grid):
-        tracer = Tracer(metrics=registry)
-        cell_start = time.perf_counter()
-        result = run_benchmark(config, tracer=tracer)
-        wall = time.perf_counter() - cell_start
-        stats.busy_s += wall
-        stats.timings.append(
-            CellTiming(
-                index=index,
-                workload=config.workload,
-                description=_describe(config),
-                wall_s=wall,
-                cached=False,
-                completed=result.completed,
-            )
-        )
-        path = os.path.join(args.trace, _trace_slug(config) + ".trace.json")
-        write_chrome_trace(tracer, path, metadata=_trace_metadata(config, result))
-        obslog.debug(f"trace: {path}")
-        results.append(result)
-    stats.wall_s = time.perf_counter() - started
-    obslog.info(f"traces: {len(grid)} cell(s) in {args.trace}")
-    if args.metrics_out:
-        _write_metrics(registry, args.metrics_out)
-    return results, stats
 
 
 def cmd_report(args) -> int:
@@ -1231,7 +1154,7 @@ def cmd_bench(args) -> int:
         from .obs.export import validate_chrome_trace, write_chrome_trace
 
         payload = write_chrome_trace(
-            tracer, args.trace, metadata=_trace_metadata(config, result)
+            tracer, args.trace, metadata=trace_metadata(config, result)
         )
         for problem in validate_chrome_trace(payload):
             obslog.warn(f"trace: {problem}")
@@ -1270,7 +1193,7 @@ def cmd_trace(args) -> int:
         result = run_wearing_benchmark(config, mean_writes=args.wear, tracer=tracer)
     else:
         result = run_benchmark(config, tracer=tracer)
-    metadata = _trace_metadata(config, result)
+    metadata = trace_metadata(config, result)
     metadata["wear_mean_writes"] = args.wear
     payload = write_chrome_trace(tracer, args.out, metadata=metadata)
     problems = validate_chrome_trace(payload)

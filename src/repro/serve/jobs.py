@@ -10,10 +10,11 @@ already on disk and replays as a cache hit — each distinct cell is
 simulated exactly once no matter how many clients ask for it
 (WoLFRaM's shared-remapping-state shape: many writers, one store).
 
-Execution reuses the offline machinery unchanged — the same
-fault-tolerant executor, retry policy, and quarantine semantics as
-``sweep --plan`` — so a job's ``results`` section is bit-identical to
-running its plan offline.
+A job takes the same route as ``sweep --plan`` — the plan precheck,
+:func:`~repro.sim.parallel.run_grid` with its retry and quarantine
+semantics, then :func:`~repro.sim.parallel.sweep_artifact`, to which
+the service adds only a ``job`` key — so a job's ``results`` section
+is bit-identical to running its plan offline.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Any, Dict, List, Optional
 from ..obs.ledger import CACHE_HIT, COLLECT, SweepLedger, SweepProgress
 from ..obs.metrics import MetricsRegistry
 from ..runtime.time_model import DEFAULT_COST_MODEL, CostModel
-from ..sim.cache import ResultCache, result_to_dict
+from ..sim.cache import ResultCache
 from ..sim.ftexec import RetryPolicy
-from ..sim.parallel import run_grid
+from ..sim.parallel import run_grid, sweep_artifact
 from ..sim.plan import ExpandedPlan, cell_slug, expand
 from ..errors import PlanError
 from . import protocol
@@ -226,11 +227,9 @@ class JobManager:
             self._counter(JOBS_FAILED_TOTAL, "jobs whose executor raised").inc()
             self._observe_wall(job)
             return
-        # Same artifact shape as `sweep --plan`: SweepStats plus the
-        # deterministic results section (and job metadata on the side —
-        # extra keys, never different ones).
-        payload = stats.to_dict()
-        payload["results"] = [result_to_dict(result) for result in results]
+        # The `sweep --plan` artifact plus job metadata on the side —
+        # an extra key, never different ones.
+        payload = sweep_artifact(results, stats)
         payload["job"] = {
             "id": job.id,
             "plan": job.plan.name,

@@ -13,12 +13,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.ledger import SweepLedger
-from ..obs.trace import Tracer
 from ..runtime.time_model import DEFAULT_COST_MODEL, CostModel
 from .cache import ResultCache
 from .ftexec import RetryPolicy
-from .machine import RunConfig, RunResult, run_benchmark
+from .machine import RunConfig, RunResult
 from .parallel import SweepStats, run_grid
+from .tracing import TraceDirectory
 
 
 def geomean(values: Sequence[float]) -> float:
@@ -59,19 +59,17 @@ class ExperimentRunner:
 
     Results are memoized per (config, cost model) in memory, and — when
     ``cache`` is supplied — persisted to disk so later processes skip
-    completed cells. ``jobs > 1`` lets :meth:`prefetch` fan uncached
+    completed cells. Every cell runs through
+    :func:`~repro.sim.parallel.run_grid`: :meth:`run_one` one at a time
+    in-process, and ``jobs > 1`` lets :meth:`prefetch` fan uncached
     cells out over worker processes; parallel execution is bit-identical
     to serial because each cell is deterministic and ordering is
     restored by the grid index.
 
-    ``tracer_factory`` (config -> Tracer) threads a fresh tracer through
-    every cell actually executed; ``trace_sink`` (config, tracer) is
-    called right after each traced run so the caller can export the
-    trace. Tracing composes badly with both worker processes (tracers
-    do not cross process boundaries) and the disk cache (cached results
-    carry no events), so a traced runner skips the disk-cache read and
-    callers should keep ``jobs=1``; the in-memory memo still guarantees
-    each unique cell is traced exactly once.
+    ``tracing`` (a :class:`~repro.sim.tracing.TraceDirectory`) traces
+    every cell actually executed. A traced runner never prefetches and
+    bypasses the disk cache (see :mod:`repro.sim.tracing`); the
+    in-memory memo still traces each unique cell exactly once.
 
     ``retry``/``timeout_s`` set the attempts and per-attempt budget of
     prefetch fan-outs on the worker executor (:mod:`repro.sim.ftexec`).
@@ -88,8 +86,7 @@ class ExperimentRunner:
         progress: Optional[Callable[[str], None]] = None,
         cache: Optional[ResultCache] = None,
         jobs: int = 1,
-        tracer_factory: Optional[Callable[[RunConfig], Tracer]] = None,
-        trace_sink: Optional[Callable[[RunConfig, Tracer], None]] = None,
+        tracing: Optional[TraceDirectory] = None,
         retry: Optional[RetryPolicy] = None,
         timeout_s: Optional[float] = None,
         ledger: Optional[SweepLedger] = None,
@@ -100,8 +97,7 @@ class ExperimentRunner:
         self.progress = progress or (lambda message: None)
         self.cache = cache
         self.jobs = jobs
-        self.tracer_factory = tracer_factory
-        self.trace_sink = trace_sink
+        self.tracing = tracing
         self.retry = retry
         self.timeout_s = timeout_s
         #: Flight recorder threaded through every prefetch fan-out
@@ -119,19 +115,11 @@ class ExperimentRunner:
     def run_one(self, config: RunConfig) -> RunResult:
         key = (config, self.cost_model)
         cached = self._cache.get(key)
-        if cached is None and self.cache is not None and self.tracer_factory is None:
-            cached = self.cache.get(config)
         if cached is None:
-            tracer = (
-                self.tracer_factory(config)
-                if self.tracer_factory is not None
-                else None
+            cache = self.cache if self.tracing is None else None
+            (cached,), _ = run_grid(
+                [config], self.cost_model, cache=cache, tracing=self.tracing
             )
-            cached = run_benchmark(config, self.cost_model, tracer=tracer)
-            if tracer is not None and self.trace_sink is not None:
-                self.trace_sink(config, tracer)
-            if self.cache is not None:
-                self.cache.put(config, cached)
         self._cache[key] = cached
         return cached
 
@@ -143,13 +131,10 @@ class ExperimentRunner:
         ``self.jobs`` workers, so the serial aggregation logic that
         follows is all cache hits. A no-op when running serially with
         no persistent cache — the lazy path is then strictly cheaper
-        (aggregation may early-exit and skip cells).
+        (aggregation may early-exit and skip cells) — and when traced,
+        since traced cells run one by one through :meth:`run_one`.
         """
-        if self.tracer_factory is not None:
-            # Traced cells must run through run_one (the workers and the
-            # disk cache would both lose the events).
-            return None
-        if self.jobs <= 1 and self.cache is None:
+        if self.tracing is not None or (self.jobs <= 1 and self.cache is None):
             return None
         expanded: List[RunConfig] = []
         seen = set()

@@ -54,6 +54,7 @@ from ..obs.ledger import (
 )
 from ..obs.profile import profile_call
 from ..obs.profile import spool_path as _profile_spool_path
+from ..obs.trace import Tracer
 from ..runtime.time_model import CostModel
 from .chaos import ChaosConfig, maybe_injure
 from .machine import RunConfig, RunResult, run_benchmark
@@ -233,16 +234,21 @@ def run_attempt(
     ledger_path: Optional[str] = None,
     profile_dir: Optional[str] = None,
     chaos: Optional[ChaosConfig] = None,
+    tracer: Optional[Tracer] = None,
 ) -> Tuple[RunResult, float]:
     """Run one attempt at one cell; returns ``(result, wall_s)``.
 
     With a ``ledger_path`` the attempt brackets itself with
     ``attempt_start``/``attempt_end`` flight-recorder events (a killed
     worker leaves only the start — the parent's ``crash`` event closes
-    the story). ``profile_dir`` arms cProfile around the benchmark. The
+    the story). ``profile_dir`` arms cProfile around the benchmark and
+    ``tracer`` records its events (in-process attempts only). The
     chaos hook fires after ``attempt_start``, so from the parent's view
     the worker dies mid-cell. Exceptions propagate to the caller.
     """
+    # Untraced attempts call run_benchmark(config, cost_model) as they
+    # always have, so stand-ins with that signature keep working.
+    traced = {} if tracer is None else {"tracer": tracer}
     worker_emit(
         ledger_path, ATTEMPT_START, cell=index, attempt=attempt,
         workload=config.workload,
@@ -253,12 +259,14 @@ def run_attempt(
         maybe_injure(chaos, index, attempt)
         if profile_dir is not None:
             spool = _profile_spool_path(profile_dir, index, attempt)
-            result = profile_call(spool, run_benchmark, config, cost_model)
+            result = profile_call(
+                spool, run_benchmark, config, cost_model, **traced
+            )
             worker_emit(
                 ledger_path, PROFILE, cell=index, attempt=attempt, spool=spool
             )
         else:
-            result = run_benchmark(config, cost_model)
+            result = run_benchmark(config, cost_model, **traced)
         ok = True
     finally:
         wall_s = time.perf_counter() - started

@@ -1,14 +1,16 @@
-"""Parallel, resumable execution of experiment grids.
+"""Parallel, resumable execution of experiment grids: the one route
+from a grid to its results and its artifact.
 
-The unit of work is one :class:`~repro.sim.machine.RunConfig` cell.
-``run_grid`` has two routes: ``jobs <= 1`` with no retry, timeout or
-chaos runs every cell in-process (so ``--trace``, ``--profile-cells``
-and debuggers see it); everything else goes to the persistent-worker
-executor in :mod:`repro.sim.ftexec`, which owns retry, timeout and
-quarantine. Results come back **in input order**, so parallel output
-is bit-identical to a serial run — ``run_benchmark`` is deterministic
-in (config, cost model), and ordering is restored by index regardless
-of completion order.
+The unit of work is one :class:`~repro.sim.machine.RunConfig` cell;
+flag grids, plan files, serve jobs and figure prefetches all arrive as
+cell lists. ``run_grid`` has two routes: ``jobs <= 1`` with no retry,
+timeout or chaos runs every cell in-process (so per-cell traces,
+``--profile-cells`` and debuggers see it); everything else goes to the
+persistent-worker executor in :mod:`repro.sim.ftexec`, which owns
+retry, timeout and quarantine. Results come back **in input order**,
+so parallel output is bit-identical to a serial run — ``run_benchmark``
+is deterministic in (config, cost model), and ordering is restored by
+index regardless of completion order.
 
 When a :class:`~repro.sim.cache.ResultCache` is supplied, cells already
 on disk are served without reaching an executor, and fresh results are
@@ -18,8 +20,8 @@ it finished.
 
 Every call also produces a :class:`SweepStats` record (per-cell wall
 time, cache hit/miss counts, worker utilization) so the performance of
-the harness itself stays observable; the CLI serializes it as
-``BENCH_sweep.json``.
+the harness itself stays observable; :func:`sweep_artifact` turns it
+and the results into ``BENCH_sweep.json``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..errors import ConfigError
 from ..obs.ledger import (
     CACHE_HIT,
     CACHE_MISS,
@@ -41,9 +44,11 @@ from ..obs.ledger import (
     SWEEP_BEGIN,
     SWEEP_END,
     SweepLedger,
+    aggregate,
+    read_ledger,
 )
 from ..runtime.time_model import DEFAULT_COST_MODEL, CostModel
-from .cache import ResultCache
+from .cache import ResultCache, result_to_dict
 from .chaos import ChaosConfig
 from .ftexec import (
     SINGLE_ATTEMPT,
@@ -53,11 +58,29 @@ from .ftexec import (
     run_cells_fault_tolerant,
 )
 from .machine import RunConfig, RunResult
+from .tracing import TraceDirectory
 
 #: Sweep-artifact schema identifier (see EXPERIMENTS.md). Version 2
 #: added the fault-tolerance block and the deterministic ``results``
 #: section the chaos-smoke CI job compares across runs.
 SWEEP_SCHEMA = "repro.sweep/2"
+
+
+def sweep_artifact(
+    results: Sequence[RunResult],
+    stats: SweepStats,
+    ledger: Optional[SweepLedger] = None,
+) -> dict:
+    """The ``BENCH_sweep.json`` document of one :func:`run_grid` call:
+    the stats, a ``wall_clock`` block when a ``ledger`` recorded it, and
+    the deterministic ``results`` section the bit-identity CI jobs
+    compare (input order, quarantined cells absent)."""
+    payload = stats.to_dict()
+    if ledger is not None:
+        events = read_ledger(ledger.path)[0] if ledger.path else ledger.events
+        payload["wall_clock"] = aggregate(events, top=5)
+    payload["results"] = [result_to_dict(result) for result in results]
+    return payload
 
 
 def default_jobs() -> int:
@@ -164,6 +187,7 @@ def run_grid(
     chaos: Optional[ChaosConfig] = None,
     ledger: Optional[SweepLedger] = None,
     profile_dir: Optional[str] = None,
+    tracing: Optional[TraceDirectory] = None,
 ) -> Tuple[List[RunResult], SweepStats]:
     """Execute every cell; results come back in input order.
 
@@ -185,11 +209,19 @@ def run_grid(
     parent-side events go through it (and its listeners — live
     progress, serve job counters); workers append straight to its
     ``path``, if any. ``profile_dir`` arms per-attempt cProfile
-    spooling. Both are strictly observational — they never change the
-    returned results.
+    spooling and ``tracing`` writes a Chrome trace of every cell; it
+    needs the in-process route and no cache, since tracers cross no
+    process boundary and cached results carry no events. All three are
+    strictly observational — they never change the returned results.
     """
     if jobs == 0:
         jobs = default_jobs()
+    in_process = jobs <= 1 and retry is None and timeout_s is None and chaos is None
+    if tracing is not None and (cache is not None or not in_process):
+        raise ConfigError(
+            "tracing runs every cell in-process: pass jobs=1 and no cache, "
+            "retry, timeout or chaos"
+        )
     configs = list(configs)
     stats = SweepStats(jobs=max(1, jobs), cells=len(configs))
     results: List[Optional[RunResult]] = [None] * len(configs)
@@ -271,13 +303,16 @@ def run_grid(
             )
 
     teardown_s = 0.0
-    in_process = jobs <= 1 and retry is None and timeout_s is None
-    if pending and in_process and chaos is None:
+    if pending and in_process:
         for index, config in pending:
             recorder.emit(DISPATCH, cell=index, workload=config.workload)
+            tracer = tracing.tracer() if tracing is not None else None
             result, wall = run_attempt(
-                index, config, 1, cost_model, recorder.path, profile_dir
+                index, config, 1, cost_model, recorder.path, profile_dir,
+                tracer=tracer,
             )
+            if tracer is not None:
+                tracing.write(config, tracer, result)
             recorder.emit(
                 COLLECT, cell=index, workload=config.workload, wall_s=wall
             )

@@ -24,10 +24,11 @@ A plan document::
 Expansion rules
 ---------------
 * ``axes`` maps axis names to non-empty value lists. The Cartesian
-  product is taken **in declaration order, first axis outermost** —
-  the same order the ``sweep`` CLI uses for ``workloads x rates x
-  heaps x seeds`` — so a plan spelling the same grid produces the same
-  cell order and a bit-identical ``BENCH_sweep.json`` results section.
+  product is taken **in declaration order, first axis outermost**.
+  The ``sweep`` CLI's grid flags compile to a document with axes
+  ``workload x rate x heap x seed`` in that order, so a plan spelling
+  the same grid produces the same cell order and a bit-identical
+  ``BENCH_sweep.json`` results section.
 * An axis named after a cell field (``workload``, ``rate``, ``heap``,
   ``line``, ``collector``, ``clustering``, ``cluster_bytes``,
   ``compensate``, ``arraylets``, ``seed``, ``scale``, ``wear_policy``,
@@ -195,9 +196,9 @@ _check_pool_policy = _policy_checker(POOL_POLICIES, "pool_policy")
 _check_placement_policy = _policy_checker(PLACEMENT_POLICIES, "placement_policy")
 
 
-#: field name -> (validator, built-in default). The defaults mirror the
-#: ``sweep`` subcommand's flag defaults so a plan spelling that grid is
-#: cell-for-cell identical to the flag spelling.
+#: field name -> (validator, built-in default). The ``sweep`` and
+#: ``figures`` subcommands take their flag defaults from here, so a plan
+#: spelling a flag grid is cell-for-cell identical to it.
 CELL_FIELDS: Dict[str, Tuple[Any, Any]] = {
     "workload": (_check_workload, None),  # required: no usable default
     "rate": (_check_rate, 0.0),
@@ -624,7 +625,9 @@ def precheck(
     if missing_workload:
         # A figures-only plan: no grid of its own, just the figure
         # list plus scale/seeds knobs for `figures --plan`.
-        seed_values = axes.get("seed") or [defaults.get("seed", 0)]
+        seed_values = axes.get("seed") or [
+            defaults.get("seed", CELL_FIELDS["seed"][1])
+        ]
         expanded = ExpandedPlan(
             name=name,
             description=description,
@@ -632,7 +635,7 @@ def precheck(
             cells=[],
             axes={axis: len(axes[axis]) for axis in axis_names},
             figures=list(figures),
-            scale=float(defaults.get("scale", 0.35)),
+            scale=float(defaults.get("scale", CELL_FIELDS["scale"][1])),
             seeds=tuple(seed_values),
         )
         return [], expanded

@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.faults.generator import FailureModel
-from repro.sim.cache import ResultCache
+from repro.obs.ledger import SweepLedger
+from repro.sim.cache import ResultCache, result_to_dict
+from repro.sim.chaos import ChaosConfig
+from repro.sim.ftexec import RetryPolicy
 from repro.sim.machine import RunConfig
-from repro.sim.parallel import SweepStats, default_jobs, run_grid
+from repro.sim.parallel import SweepStats, default_jobs, run_grid, sweep_artifact
+from repro.sim.plan import cell_slug
+from repro.sim.tracing import TraceDirectory
 
 
 def small_grid():
@@ -97,3 +103,65 @@ class TestSweepStats:
         assert a.cells == 4
         assert len(a.timings) == 4
         assert [t.index for t in a.timings] == [0, 1, 2, 3]
+
+
+class TestTracedGrid:
+    def test_traces_every_cell_without_touching_results(self, tmp_path):
+        grid = small_grid()[:2]
+        plain, _ = run_grid(grid, jobs=1)
+        tracing = TraceDirectory(str(tmp_path / "traces"))
+        traced, stats = run_grid(grid, tracing=tracing)
+        assert sorted(p.name for p in (tmp_path / "traces").iterdir()) == sorted(
+            cell_slug(config) + ".trace.json" for config in grid
+        )
+        # Tracing adds the simulated-time phase breakdown and nothing else.
+        assert all(result.phase_breakdown for result in traced)
+        for a, b in zip(plain, traced):
+            assert a.phase_breakdown is None
+            assert a.time_units == b.time_units
+            assert a.stats == b.stats
+        assert stats.cells == len(stats.timings) == 2
+        assert "repro_gc_pause_ms" in tracing.registry.render_prometheus()
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            {"jobs": 2},
+            {"retry": RetryPolicy()},
+            {"timeout_s": 5.0},
+            {"chaos": ChaosConfig.parse("kill:0.5")},
+        ],
+    )
+    def test_tracing_needs_the_in_process_route(self, tmp_path, route):
+        with pytest.raises(ConfigError, match="in-process"):
+            run_grid(
+                small_grid()[:1], tracing=TraceDirectory(str(tmp_path)), **route
+            )
+
+    def test_tracing_refuses_a_cache(self, tmp_path):
+        with pytest.raises(ConfigError, match="no cache"):
+            run_grid(
+                small_grid()[:1],
+                cache=ResultCache(tmp_path / "cache"),
+                tracing=TraceDirectory(str(tmp_path / "traces")),
+            )
+
+
+class TestSweepArtifact:
+    def test_stats_plus_results(self):
+        results, stats = run_grid(small_grid()[:2], jobs=1)
+        payload = sweep_artifact(results, stats)
+        assert payload == {
+            **stats.to_dict(),
+            "results": [result_to_dict(result) for result in results],
+        }
+
+    def test_ledger_adds_wall_clock_only(self):
+        grid = small_grid()[:2]
+        ledger = SweepLedger()
+        results, stats = run_grid(grid, jobs=1, ledger=ledger)
+        payload = sweep_artifact(results, stats, ledger)
+        assert payload["wall_clock"]["schema"] == "repro.ledger-report/1"
+        assert payload["wall_clock"]["cells"] == 2
+        del payload["wall_clock"]
+        assert payload == sweep_artifact(results, stats)

@@ -303,6 +303,128 @@ class TestTraceConflicts:
         assert not (tmp_path / "t").exists()
 
 
+class TestTracedSweep:
+    """A traced sweep is the untraced sweep plus traces and metrics."""
+
+    def test_matches_untraced_sweep(self, capsys, tmp_path):
+        import json
+
+        grid = ["sweep", "--workloads", "luindex", "--rates", "0", "0.1",
+                "--scale", "0.2"]
+        plain_out = tmp_path / "plain.json"
+        traced_out = tmp_path / "traced.json"
+        metrics = tmp_path / "metrics.prom"
+        assert main(grid + ["--out", str(plain_out)]) == 0
+        assert main(
+            grid + ["--out", str(traced_out), "--trace", str(tmp_path / "t"),
+                    "--metrics-out", str(metrics)]
+        ) == 0
+        capsys.readouterr()
+        plain = json.loads(plain_out.read_text())
+        traced = json.loads(traced_out.read_text())
+        # Tracing fills in each cell's simulated-time phase breakdown;
+        # the rest of the results section is the untraced sweep's.
+        for result in traced["results"]:
+            assert result.pop("phase_breakdown")
+        for result in plain["results"]:
+            assert result.pop("phase_breakdown") is None
+        assert json.dumps(traced["results"], sort_keys=True) == json.dumps(
+            plain["results"], sort_keys=True
+        )
+        assert sorted(traced) == sorted(plain)
+        assert traced["cells"] == plain["cells"] == 2
+        assert [sorted(t) for t in traced["cell_timings"]] == [
+            sorted(t) for t in plain["cell_timings"]
+        ]
+        assert "repro_gc_pause_ms_bucket" in metrics.read_text()
+
+
+    def test_traced_figures_render_the_untraced_figures(self, capsys, tmp_path):
+        import json
+
+        argv = ["figures", "headline", "--scale", "0.12"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        traces = tmp_path / "t"
+        metrics = tmp_path / "m.prom"
+        assert main(
+            argv + ["--trace", str(traces), "--metrics-out", str(metrics),
+                    "--jobs", "2", "--cache-dir", str(tmp_path / "cache")]
+        ) == 0
+        assert capsys.readouterr().out == plain
+        assert not (tmp_path / "cache").exists()
+        files = list(traces.iterdir())
+        assert files
+        for path in files:
+            assert "completed" in json.loads(path.read_text())["otherData"]
+        assert "repro_gc_pause_ms_bucket" in metrics.read_text()
+
+
+class TestSweepFlagGrid:
+    """The grid flags compile to a plan and take its precheck."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--rates", "1.5"], "failure rate 1.5 outside [0, 1]"),
+            (["--heaps", "-1"], "expected a positive heap multiplier"),
+            (["--scale", "0"], "expected a scale in (0, 1]"),
+            (["--seeds", "-1"], "expected a seed >= 0"),
+            (["--rates", "0.1", "0.1"], "duplicate of cells[0]"),
+            (["--workloads", "nosuch"], "unknown workload"),
+        ],
+    )
+    def test_bad_value_exits_2(self, capsys, tmp_path, extra, message):
+        out = tmp_path / "BENCH_sweep.json"
+        code = main(
+            ["sweep", "--workloads", "luindex", "--rates", "0",
+             "--scale", "0.2", "--out", str(out)] + extra
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_expand_to_the_smoke_plan(self):
+        from pathlib import Path
+
+        from repro.cli import _sweep_flags_plan
+        from repro.sim.plan import expand, load_and_expand
+
+        args = build_parser().parse_args(
+            ["sweep", "--workloads", "luindex", "antlr", "--rates", "0",
+             "0.1", "--heaps", "2.0", "--scale", "0.2"]
+        )
+        smoke = Path(__file__).resolve().parent.parent / "plans" / "smoke.yaml"
+        assert expand(_sweep_flags_plan(args)).cells == load_and_expand(
+            smoke
+        ).cells
+
+    def test_conflict_checks_use_the_parser_defaults(self):
+        from repro.cli import _FIGURES_PLAN_DEFAULTS, _SWEEP_GRID_DEFAULTS
+
+        parser = build_parser()
+        for command, defaults in (
+            ("sweep", _SWEEP_GRID_DEFAULTS),
+            ("figures", _FIGURES_PLAN_DEFAULTS),
+        ):
+            args = parser.parse_args([command])
+            assert {name: getattr(args, name) for name in defaults} == defaults
+
+
+class TestFiguresFlagChecks:
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--scale", "0"], "--scale: expected a scale in (0, 1]"),
+            (["--scale", "1.5"], "--scale: expected a scale in (0, 1]"),
+            (["--seeds", "0", "-1"], "--seeds: expected a seed >= 0"),
+        ],
+    )
+    def test_bad_value_exits_2(self, capsys, extra, message):
+        assert main(["figures", "headline"] + extra) == 2
+        assert message in capsys.readouterr().err
+
+
 def _write_plan(tmp_path, text, name="plan.yaml"):
     path = tmp_path / name
     path.write_text(text)
