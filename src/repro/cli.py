@@ -29,7 +29,9 @@ out over worker processes; results are bit-identical to serial) and
 ``--cache-dir`` (persist completed cells on disk so re-runs are nearly
 free). ``sweep`` additionally writes a ``BENCH_sweep.json`` artifact
 with per-cell wall times, cache hit/miss counts, worker utilization,
-and a deterministic ``results`` section.
+and a deterministic ``results`` section; ``figures --sweep-json PATH``
+writes the same document for the figures' grids, which run through
+``run_grid`` exactly as a sweep's cells do.
 
 Sweeps are fault tolerant and resumable: parallel cells run on
 persistent workers that replace a crashed or hung worker, a cell that
@@ -93,7 +95,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .check.audit import VERIFY_LEVELS
-from .errors import PlanError, SnapshotError
+from .errors import CellsQuarantinedError, PlanError, SnapshotError
 from .faults.generator import FailureModel
 from .ioutil import atomic_write_json, atomic_write_text
 from .obs import log as obslog
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="append wall-clock flight-recorder events for every "
-        "prefetch fan-out to PATH (aggregate with 'repro report')",
+        "figure grid to PATH (aggregate with 'repro report')",
     )
 
     sweep = sub.add_parser(
@@ -746,6 +748,45 @@ def _write_sweep_artifact(path: str, stats_dict: dict) -> None:
     )
 
 
+#: What ``--trace`` cannot honour, by argparse attribute.
+_TRACE_CONFLICTS = (
+    "resume", "retries", "retry_delay", "timeout", "ledger", "profile_cells",
+)
+
+
+def _trace_conflicts(args, *extra: str) -> bool:
+    """Warn and return True (exit 2) when ``--trace`` meets a flag it
+    cannot honour: a traced grid runs in-process and uncached, with no
+    retry, timeout, resume or fan-out to record. ``extra`` adds a
+    command's own attributes. Conflicting intent is a usage error, so a
+    user who asked for retries never gets a silently degraded run."""
+    if not args.trace:
+        return False
+    conflicts = [
+        "--" + attribute.replace("_", "-")
+        for attribute in _TRACE_CONFLICTS + extra
+        if getattr(args, attribute, None) not in (None, False)
+    ]
+    if conflicts:
+        obslog.warn(
+            "--trace runs cells serially in-process and cannot honour "
+            f"{', '.join(conflicts)}; drop --trace or the conflicting "
+            "flag(s)"
+        )
+    return bool(conflicts)
+
+
+def _quarantine_exit(stats) -> int:
+    """Warn about each quarantined cell; exit 3 (partial results: the
+    cells that exhausted their retries are missing) if any, else 0."""
+    for cell in stats.fault_tolerance.quarantined:
+        obslog.warn(
+            f"quarantined: {cell.workload} {cell.description} after "
+            f"{cell.attempts} attempt(s): {'; '.join(cell.failures)}"
+        )
+    return 3 if stats.fault_tolerance.quarantined else 0
+
+
 def _trace_directory(args) -> TraceDirectory:
     """A grid command's ``--trace DIR``. The caller then runs every cell
     in-process and uncached; this warns about what that overrides."""
@@ -800,18 +841,15 @@ def cmd_figures(args) -> int:
         obslog.warn(f"unknown figures: {', '.join(unknown)}")
         obslog.warn(f"available: {', '.join(_FIGURES)}")
         return 2
-    if args.trace and args.ledger:
-        # Traced figures run serially in-process; there is no fan-out
-        # for a flight recorder to observe.
-        obslog.warn(
-            "--trace runs cells serially in-process, which bypasses "
-            "the fan-out --ledger records; drop one of the two"
-        )
+    if _trace_conflicts(args):
         return 2
     progress = (lambda m: obslog.info(f"  .. {m}")) if args.progress else None
     tracing = _trace_directory(args) if args.trace else None
     cache = None if tracing is not None else _build_cache(args)
     jobs = 1 if tracing is not None else args.jobs
+    # Only an armed REPRO_CHAOS gets past the conflict check to arm
+    # retries under --trace; _trace_directory warned that it is ignored.
+    retry = None if tracing is not None else _build_retry_policy(args)
     ledger = SweepLedger(args.ledger) if args.ledger else None
     runner = ExperimentRunner(
         seeds=tuple(seeds),
@@ -819,21 +857,26 @@ def cmd_figures(args) -> int:
         cache=cache,
         jobs=jobs,
         tracing=tracing,
-        retry=_build_retry_policy(args),
+        retry=retry,
         timeout_s=args.timeout,
         ledger=ledger,
     )
-    if args.json:
-        payload = {
-            name: [result.to_dict() for result in _FIGURES[name](runner, scale)]
-            for name in names
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for name in names:
-            for result in _FIGURES[name](runner, scale):
-                obslog.out(result.render())
-                obslog.out()
+    try:
+        if args.json:
+            payload = {
+                name: [figure.to_dict() for figure in _FIGURES[name](runner, scale)]
+                for name in names
+            }
+            print(json.dumps(payload, indent=2))
+        else:
+            for name in names:
+                for result in _FIGURES[name](runner, scale):
+                    obslog.out(result.render())
+                    obslog.out()
+    except CellsQuarantinedError as exc:
+        # A figure cannot aggregate over a missing cell: stop rendering
+        # and report the grid as partial, as `sweep` does.
+        obslog.warn(f"figures: {exc}; rendering stopped")
     if cache is not None:
         counters = cache.counters()
         obslog.info(
@@ -849,18 +892,10 @@ def cmd_figures(args) -> int:
             "aggregate with 'repro report')"
         )
     if args.sweep_json:
-        summary = runner.sweep_summary()
-        if summary is None:
-            from .sim.parallel import SweepStats
-
-            summary = SweepStats(jobs=max(1, jobs))
-        payload = summary.to_dict()
-        if cache is not None:
-            # The runner's lazy path also consults the cache directly;
-            # the cache's own counters are the authoritative totals.
-            payload["cache"] = {"hits": cache.hits, "misses": cache.misses}
-        _write_sweep_artifact(args.sweep_json, payload)
-    return 0
+        _write_sweep_artifact(
+            args.sweep_json, sweep_artifact(runner.results, runner.stats, ledger)
+        )
+    return _quarantine_exit(runner.stats)
 
 
 def _sweep_flags_plan(args) -> dict:
@@ -883,30 +918,9 @@ def _sweep_flags_plan(args) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    # Conflicting intent is a usage error, not a warning: a user who
-    # asked for --resume or retries must not get a silently degraded
-    # run (consistent with the --resume-without---cache-dir check).
-    if args.trace:
-        conflicts = [
-            flag
-            for flag, present in (
-                ("--resume", args.resume),
-                ("--retries", args.retries is not None),
-                ("--retry-delay", args.retry_delay is not None),
-                ("--timeout", args.timeout is not None),
-                ("--ledger", args.ledger is not None),
-                ("--profile-cells", args.profile_cells),
-                ("--progress", args.progress),
-            )
-            if present
-        ]
-        if conflicts:
-            obslog.warn(
-                "--trace runs the sweep serially in-process and cannot "
-                f"honour {', '.join(conflicts)}; drop --trace or the "
-                "conflicting flag(s)"
-            )
-            return 2
+    # sweep's --progress is a flight-recorder listener.
+    if _trace_conflicts(args, "progress"):
+        return 2
     if args.plan:
         conflicts = [
             "--" + attribute.replace("_", "-")
@@ -976,15 +990,8 @@ def cmd_sweep(args) -> int:
         obslog.out(f"{config.workload:13s} {config.failure_model.rate:5.0%} "
                    f"{config.heap_multiplier:5.2g} {config.seed:4d} "
                    f"{status:>7s} {time_ms}")
-    for cell in stats.fault_tolerance.quarantined:
-        obslog.warn(
-            f"quarantined: {cell.workload} {cell.description} after "
-            f"{cell.attempts} attempt(s): {'; '.join(cell.failures)}"
-        )
     _write_sweep_artifact(args.out, sweep_artifact(results, stats, ledger))
-    # Exit 3 = partial results: the sweep survived, but some cells
-    # exhausted their retries and are missing from the artifact.
-    return 3 if stats.fault_tolerance.quarantined else 0
+    return _quarantine_exit(stats)
 
 
 def cmd_report(args) -> int:

@@ -73,6 +73,23 @@ class PlanError(ConfigError):
         )
 
 
+class CellsQuarantinedError(ReproError):
+    """Grid cells the worker executor gave up on after every retry.
+
+    Raised by :meth:`repro.sim.experiment.ExperimentRunner.run` after it
+    records the survivors: a figure cannot aggregate over a missing
+    cell. ``report`` is the run's
+    :class:`repro.sim.ftexec.FaultToleranceReport`.
+    """
+
+    def __init__(self, report) -> None:
+        self.report = report
+        super().__init__(
+            f"{len(report.quarantined)} cell(s) quarantined after "
+            "exhausting their retries"
+        )
+
+
 class ChaosError(ReproError):
     """A failure injected by the chaos harness (never a real bug).
 

@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..errors import CellsQuarantinedError
 from ..obs.ledger import SweepLedger
 from ..runtime.time_model import DEFAULT_COST_MODEL, CostModel
 from .cache import ResultCache
 from .ftexec import RetryPolicy
 from .machine import RunConfig, RunResult
-from .parallel import SweepStats, run_grid
+from .parallel import SweepStats, default_jobs, run_grid
 from .tracing import TraceDirectory
 
 
@@ -57,26 +58,22 @@ class BenchmarkMeasurement:
 class ExperimentRunner:
     """Runs (workloads x configs x seeds) grids with caching.
 
-    Results are memoized per (config, cost model) in memory, and — when
-    ``cache`` is supplied — persisted to disk so later processes skip
-    completed cells. Every cell runs through
-    :func:`~repro.sim.parallel.run_grid`: :meth:`run_one` one at a time
-    in-process, and ``jobs > 1`` lets :meth:`prefetch` fan uncached
-    cells out over worker processes; parallel execution is bit-identical
-    to serial because each cell is deterministic and ordering is
-    restored by the grid index.
+    :meth:`run` is the one way cells execute: it expands seeds, skips
+    cells the runner already holds, and sends the rest through one
+    :func:`~repro.sim.parallel.run_grid` call with every option the
+    runner was built with, as ``repro sweep`` does. Results are memoized
+    per (config, cost model) in memory and, with ``cache``, on disk;
+    parallel execution is bit-identical to serial because each cell is
+    deterministic and ordering is restored by the grid index.
 
-    ``tracing`` (a :class:`~repro.sim.tracing.TraceDirectory`) traces
-    every cell actually executed. A traced runner never prefetches and
-    bypasses the disk cache (see :mod:`repro.sim.tracing`); the
-    in-memory memo still traces each unique cell exactly once.
-
-    ``retry``/``timeout_s`` set the attempts and per-attempt budget of
-    prefetch fan-outs on the worker executor (:mod:`repro.sim.ftexec`).
-    Cells it quarantines simply stay unmemoized; aggregation then
-    re-runs them inline via :meth:`run_one` — a serial in-process last
-    resort, so a figure still completes after persistent worker
-    trouble.
+    Figure harnesses :meth:`run` their whole grid before aggregating, so
+    :meth:`measure` and the geomeans built on it read memoized results.
+    :attr:`results` and :attr:`stats` accumulate every call's output for
+    :func:`~repro.sim.parallel.sweep_artifact`; a quarantined cell makes
+    :meth:`run` raise :class:`~repro.errors.CellsQuarantinedError` once
+    both are recorded. ``tracing`` (a
+    :class:`~repro.sim.tracing.TraceDirectory`) traces every executed
+    cell and needs ``jobs=1`` and no cache, retry or timeout.
     """
 
     def __init__(
@@ -90,7 +87,6 @@ class ExperimentRunner:
         retry: Optional[RetryPolicy] = None,
         timeout_s: Optional[float] = None,
         ledger: Optional[SweepLedger] = None,
-        profile_dir: Optional[str] = None,
     ) -> None:
         self.seeds = tuple(seeds)
         self.cost_model = cost_model
@@ -100,87 +96,59 @@ class ExperimentRunner:
         self.tracing = tracing
         self.retry = retry
         self.timeout_s = timeout_s
-        #: Flight recorder threaded through every prefetch fan-out
+        #: Flight recorder threaded through every ``run_grid`` call
         #: (observational only — see :mod:`repro.obs.ledger`).
         self.ledger = ledger
-        self.profile_dir = profile_dir
         # Keyed on (config, cost model): two runners (or one runner
         # whose model is swapped) must never share timings computed
         # under different constants.
         self._cache: Dict[Tuple[RunConfig, CostModel], RunResult] = {}
-        #: One entry per prefetch fan-out, for BENCH_sweep.json.
-        self.sweeps: List[SweepStats] = []
+        #: Every result :meth:`run` executed or served from disk, in
+        #: execution order (quarantined cells absent).
+        self.results: List[RunResult] = []
+        #: The accounting of every ``run_grid`` call, merged.
+        self.stats = SweepStats(jobs=max(1, jobs or default_jobs()))
 
     # ------------------------------------------------------------------
-    def run_one(self, config: RunConfig) -> RunResult:
-        key = (config, self.cost_model)
-        cached = self._cache.get(key)
-        if cached is None:
-            cache = self.cache if self.tracing is None else None
-            (cached,), _ = run_grid(
-                [config], self.cost_model, cache=cache, tracing=self.tracing
-            )
-        self._cache[key] = cached
-        return cached
+    def run(self, configs: Iterable[RunConfig]) -> List[RunResult]:
+        """Results of every (config x seed) cell, in that order.
 
-    # ------------------------------------------------------------------
-    def prefetch(self, configs: Iterable[RunConfig]) -> Optional[SweepStats]:
-        """Execute every (config x seed) cell ahead of aggregation.
-
-        Expands seeds, dedups, and fans uncached cells out over
-        ``self.jobs`` workers, so the serial aggregation logic that
-        follows is all cache hits. A no-op when running serially with
-        no persistent cache — the lazy path is then strictly cheaper
-        (aggregation may early-exit and skip cells) — and when traced,
-        since traced cells run one by one through :meth:`run_one`.
+        Cells the runner does not hold yet execute in one ``run_grid``
+        call; held cells make no call at all. Raises
+        :class:`~repro.errors.CellsQuarantinedError` (after recording
+        the survivors) when the worker executor gives up on a cell.
         """
-        if self.tracing is not None or (self.jobs <= 1 and self.cache is None):
-            return None
-        expanded: List[RunConfig] = []
-        seen = set()
-        for config in configs:
-            for seed in self.seeds:
-                cell = replace(config, seed=seed)
-                key = (cell, self.cost_model)
-                if key in seen or key in self._cache:
-                    continue
-                seen.add(key)
-                expanded.append(cell)
-        if not expanded:
-            return None
-        results, stats = run_grid(
-            expanded,
-            cost_model=self.cost_model,
-            jobs=self.jobs,
-            cache=self.cache,
-            progress=None,
-            retry=self.retry,
-            timeout_s=self.timeout_s,
-            ledger=self.ledger,
-            profile_dir=self.profile_dir,
-        )
-        # Key by the result's own config, not by zipping against
-        # `expanded`: the fault-tolerant path may quarantine cells, and
-        # a positional zip would then memoize results under the wrong
-        # configs.
-        for result in results:
-            self._cache[(result.config, self.cost_model)] = result
-        self.sweeps.append(stats)
-        return stats
-
-    def sweep_summary(self) -> Optional[SweepStats]:
-        """All prefetch fan-outs of this runner merged into one record."""
-        if not self.sweeps:
-            return None
-        merged = SweepStats(jobs=max(s.jobs for s in self.sweeps))
-        for stats in self.sweeps:
-            merged.merge(stats)
-        return merged
+        keys = [
+            (replace(config, seed=seed), self.cost_model)
+            for config in configs
+            for seed in self.seeds
+        ]
+        missing = [key[0] for key in dict.fromkeys(keys) if key not in self._cache]
+        if missing:
+            results, stats = run_grid(
+                missing,
+                cost_model=self.cost_model,
+                jobs=self.jobs,
+                cache=self.cache,
+                retry=self.retry,
+                timeout_s=self.timeout_s,
+                ledger=self.ledger,
+                tracing=self.tracing,
+            )
+            # Key by the result's own config, not by zipping against
+            # `missing`: quarantined cells leave gaps in `results`.
+            for result in results:
+                self._cache[(result.config, self.cost_model)] = result
+            self.results.extend(results)
+            self.stats.merge(stats)
+            if stats.fault_tolerance.quarantined:
+                raise CellsQuarantinedError(stats.fault_tolerance)
+        return [self._cache[key] for key in keys]
 
     # ------------------------------------------------------------------
     def measure(self, config: RunConfig) -> BenchmarkMeasurement:
         """Run all seeds of one (workload, configuration) pair."""
-        results = [self.run_one(replace(config, seed=seed)) for seed in self.seeds]
+        results = self.run([config])
         completed = [r for r in results if r.completed]
         if not completed:
             status = "DNF"

@@ -5,6 +5,11 @@ the corresponding figure in the paper's evaluation (section 6), returns
 the raw data points, and renders them with :mod:`repro.sim.report`.
 Benchmarks in ``benchmarks/`` call these with reduced grids by default
 and the full grids under ``REPRO_FULL=1``.
+
+Every harness executes its whole grid in one
+:meth:`~repro.sim.experiment.ExperimentRunner.run` call before
+aggregating, as ``repro sweep`` would, so DNF-truncated curves still
+run every cell they declare.
 """
 
 from __future__ import annotations
@@ -35,20 +40,14 @@ def _baseline(scale: float) -> RunConfig:
     return RunConfig(workload="antlr", heap_multiplier=2.0, scale=scale)
 
 
-def _prefetch(
+def _execute_grid(
     runner: ExperimentRunner,
     names: Sequence[str],
     configs: Sequence[RunConfig],
 ) -> None:
-    """Warm the runner's caches for a (workloads x configs) grid.
-
-    Each figure enumerates its full grid up front so uncached cells can
-    fan out over ``runner.jobs`` workers; the serial aggregation below
-    then reads memoized results. A no-op for a serial, cache-less
-    runner (see :meth:`ExperimentRunner.prefetch`), keeping the default
-    path's lazy early-exit behaviour.
-    """
-    runner.prefetch(
+    """Execute a figure's whole (workloads x configs) grid, so the
+    aggregation that follows reads memoized results."""
+    runner.run(
         replace(config, workload=name) for config in configs for name in names
     )
 
@@ -120,7 +119,7 @@ def figure3(
         _baseline(scale), heap_multiplier=max(heap_multipliers), collector="sticky-immix"
     )
     collectors = ("marksweep", "immix", "sticky-marksweep", "sticky-immix")
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [
@@ -166,7 +165,7 @@ def figure4(
 ) -> FigureResult:
     names = list(workloads or suite_names(include_buggy_lusearch=True))
     baseline = _baseline(scale)
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [
@@ -219,7 +218,7 @@ def figure5(
         "S-IXPCM 10%": (FailureModel(rate=0.10), True),
         "S-IXPCM 10% 2CL": (FailureModel(rate=0.10, hw_region_pages=2), True),
     }
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [
@@ -271,7 +270,7 @@ def figure6(
     reference = replace(
         _baseline(scale), heap_multiplier=max(heap_multipliers), immix_line=256
     )
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [
@@ -333,7 +332,7 @@ def figure7(
 ) -> FigureResult:
     names = list(workloads or suite_names())
     baseline = _baseline(scale)  # S-IX L256, no failures, 2x heap
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [
@@ -375,7 +374,7 @@ def figure8(
 ) -> FigureResult:
     names = list(workloads or suite_names())
     baseline = _baseline(scale)
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [
@@ -422,7 +421,7 @@ def figure9(
 ) -> Tuple[FigureResult, FigureResult]:
     names = list(workloads or suite_names())
     baseline = _baseline(scale)
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [
@@ -484,7 +483,7 @@ def figure10(
 ) -> FigureResult:
     names = list(workloads or suite_names())
     baseline = _baseline(scale)
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [
@@ -550,7 +549,7 @@ def policy_comparison(
     """
     names = list(workloads or suite_names())
     baseline = _baseline(scale)
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [
@@ -599,7 +598,7 @@ def section42_pauses(
     scale: float = 1.0,
 ) -> FigureResult:
     names = list(workloads or suite_names())
-    _prefetch(runner, names, [_baseline(scale)])
+    _execute_grid(runner, names, [_baseline(scale)])
     rows = []
     pauses: Dict[str, float] = {}
     for name in names:
@@ -643,7 +642,7 @@ def headline(
         ("10% + 2-page clustering", FailureModel(rate=0.10, hw_region_pages=2)),
         ("50% + 2-page clustering", FailureModel(rate=0.50, hw_region_pages=2)),
     )
-    _prefetch(
+    _execute_grid(
         runner,
         names,
         [replace(baseline, failure_model=model) for _, model in headline_models]

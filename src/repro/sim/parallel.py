@@ -2,7 +2,7 @@
 from a grid to its results and its artifact.
 
 The unit of work is one :class:`~repro.sim.machine.RunConfig` cell;
-flag grids, plan files, serve jobs and figure prefetches all arrive as
+flag grids, plan files, serve jobs and figure grids all arrive as
 cell lists. ``run_grid`` has two routes: ``jobs <= 1`` with no retry,
 timeout or chaos runs every cell in-process (so per-cell traces,
 ``--profile-cells`` and debuggers see it); everything else goes to the
@@ -213,6 +213,9 @@ def run_grid(
     needs the in-process route and no cache, since tracers cross no
     process boundary and cached results carry no events. All three are
     strictly observational — they never change the returned results.
+
+    ``cache`` keys entries by its own ``cost_model``, so it must be the
+    grid's; another is a :class:`~repro.errors.ConfigError`.
     """
     if jobs == 0:
         jobs = default_jobs()
@@ -221,6 +224,11 @@ def run_grid(
         raise ConfigError(
             "tracing runs every cell in-process: pass jobs=1 and no cache, "
             "retry, timeout or chaos"
+        )
+    if cache is not None and cache.cost_model != cost_model:
+        raise ConfigError(
+            "the result cache was built for another cost model; its "
+            "entries would be served as this grid's timings"
         )
     configs = list(configs)
     stats = SweepStats(jobs=max(1, jobs), cells=len(configs))

@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.errors import CellsQuarantinedError
 from repro.faults.generator import FailureModel
+from repro.sim import experiment
 from repro.sim.experiment import ExperimentRunner, geomean
 from repro.sim.machine import RunConfig
 
@@ -32,9 +34,10 @@ class TestGeomean:
 class TestRunner:
     def test_caching_avoids_reruns(self):
         runner = ExperimentRunner(seeds=(0,))
-        first = runner.run_one(QUICK)
-        second = runner.run_one(QUICK)
+        (first,) = runner.run([QUICK])
+        (second,) = runner.run([QUICK])
         assert first is second
+        assert runner.measure(QUICK).results[0] is first
 
     def test_measure_aggregates_seeds(self):
         runner = ExperimentRunner(seeds=(0, 1))
@@ -81,27 +84,29 @@ class TestRunner:
         from repro.runtime.time_model import CostModel
 
         runner = ExperimentRunner(seeds=(0,))
-        before = runner.run_one(QUICK)
+        (before,) = runner.run([QUICK])
         runner.cost_model = CostModel(app_work_per_byte=110.0)
-        after = runner.run_one(QUICK)
+        (after,) = runner.run([QUICK])
         assert after is not before
         assert after.time_units > before.time_units
 
     def test_measure_reports_partial_completion(self, monkeypatch):
         from dataclasses import replace as dc_replace
 
-        runner = ExperimentRunner(seeds=(0, 1), progress=[].append)
-        real = runner.run_one(QUICK)
+        from repro.sim.parallel import SweepStats
 
-        def fake_run_one(config):
-            result = dc_replace(real, config=config)
-            if config.seed == 1:
-                result = dc_replace(result, completed=False)
-            return result
+        (real,) = ExperimentRunner(seeds=(0,)).run([QUICK])
+
+        def fake_run_grid(configs, **options):
+            results = [
+                dc_replace(real, config=config, completed=config.seed != 1)
+                for config in configs
+            ]
+            return results, SweepStats(jobs=1, cells=len(results))
 
         messages = []
-        runner.progress = messages.append
-        monkeypatch.setattr(runner, "run_one", fake_run_one)
+        runner = ExperimentRunner(seeds=(0, 1), progress=messages.append)
+        monkeypatch.setattr(experiment, "run_grid", fake_run_grid)
         measurement = runner.measure(QUICK)
         assert measurement.completed
         assert measurement.seeds_completed == 1
@@ -117,21 +122,66 @@ class TestRunner:
         assert not measurement.partial
 
 
-class TestRunnerPrefetch:
-    def test_prefetch_noop_when_serial_and_cacheless(self):
-        runner = ExperimentRunner(seeds=(0,))
-        assert runner.prefetch([QUICK]) is None
-        assert runner.sweeps == []
-
-    def test_prefetch_fills_memory_cache(self, tmp_path):
+class TestRunnerRun:
+    def test_run_fills_memory_cache_in_one_grid_call(self, tmp_path, monkeypatch):
         from repro.sim.cache import ResultCache
 
+        calls = []
+        real_run_grid = experiment.run_grid
+
+        def counting_run_grid(configs, **options):
+            calls.append(list(configs))
+            return real_run_grid(configs, **options)
+
+        monkeypatch.setattr(experiment, "run_grid", counting_run_grid)
         runner = ExperimentRunner(
-            seeds=(0,), cache=ResultCache(tmp_path / "cache")
+            seeds=(0, 1), cache=ResultCache(tmp_path / "cache")
         )
-        stats = runner.prefetch([QUICK])
-        assert stats is not None and stats.cells == 1
-        assert (QUICK, runner.cost_model) in runner._cache
-        # Lazy path must now be a pure lookup (same object back).
-        assert runner.run_one(QUICK) is runner._cache[(QUICK, runner.cost_model)]
-        assert runner.sweep_summary().cells == 1
+        other = replace(QUICK, failure_model=FailureModel(rate=0.10))
+        results = runner.run([QUICK, other, QUICK])
+        # Seeds expand, the duplicate collapses, and one call runs it all.
+        (grid,) = calls
+        assert grid == [replace(c, seed=s) for c in (QUICK, other) for s in (0, 1)]
+        assert [r.config for r in results] == grid + grid[:2]
+        assert runner.results == results[:4]
+        assert runner.stats.cells == runner.stats.cache_misses == 4
+        # Aggregation is now a pure lookup (same objects back).
+        assert runner.measure(other).results == results[2:4]
+        assert all(
+            runner._cache[(r.config, runner.cost_model)] is r for r in results
+        )
+        assert len(calls) == 1
+
+    def test_held_cells_make_no_grid_call(self, monkeypatch):
+        runner = ExperimentRunner(seeds=(0,))
+        first = runner.run([QUICK])
+
+        def no_grid(configs, **options):
+            raise AssertionError("held cells reached run_grid")
+
+        monkeypatch.setattr(experiment, "run_grid", no_grid)
+        second = runner.run([QUICK])
+        assert second[0] is first[0]
+        assert runner.measure(QUICK).results[0] is first[0]
+        assert runner.stats.cells == len(runner.results) == 1
+
+    def test_quarantine_raises_after_recording(self, monkeypatch):
+        from repro.sim import ftexec
+
+        real = ftexec.run_benchmark
+
+        def flaky(config, cost_model):
+            if config.failure_model.rate > 0:
+                raise RuntimeError("cell blew up")
+            return real(config, cost_model)
+
+        monkeypatch.setattr(ftexec, "run_benchmark", flaky)  # workers fork
+        runner = ExperimentRunner(seeds=(0,), jobs=2)
+        faulty = replace(QUICK, failure_model=FailureModel(rate=0.10))
+        with pytest.raises(CellsQuarantinedError) as raised:
+            runner.run([QUICK, faulty])
+        (cell,) = raised.value.report.quarantined
+        assert "RuntimeError: cell blew up" in cell.failures[0]
+        assert [r.config for r in runner.results] == [QUICK]
+        assert runner.stats.cells == 2
+        assert runner.stats.fault_tolerance.quarantined == [cell]

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.faults.generator import FailureModel
 from repro.obs.ledger import SweepLedger
+from repro.runtime.time_model import CostModel
 from repro.sim.cache import ResultCache, result_to_dict
 from repro.sim.chaos import ChaosConfig
 from repro.sim.ftexec import RetryPolicy
@@ -68,6 +69,16 @@ class TestRunGrid:
         assert second_stats.cache_misses == 0
         assert second == first
         assert all(timing.cached for timing in second_stats.timings)
+
+    def test_refuses_a_cache_built_for_another_cost_model(self, tmp_path):
+        # The cache keys entries by its own cost model: a grid computed
+        # under another would publish its timings as that model's.
+        slow = CostModel(app_work_per_byte=110.0)
+        grid = [RunConfig(workload="luindex", scale=0.05)]
+        with pytest.raises(ConfigError, match="cost model"):
+            run_grid(grid, cost_model=slow, cache=ResultCache(tmp_path))
+        assert len(ResultCache(tmp_path)) == 0
+        run_grid(grid, cost_model=slow, cache=ResultCache(tmp_path, cost_model=slow))
 
 
 class TestSweepStats:

@@ -167,6 +167,40 @@ class TestCommands:
         assert cell["attempts"] == 1
         assert "RuntimeError: cell blew up" in cell["failures"][0]
 
+    def test_parallel_figures_quarantine_failing_cells(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # The same flaky cells as above: figures stops rendering, exits
+        # 3 like sweep, and its artifact keeps the surviving results.
+        import json
+
+        from repro.sim import ftexec
+
+        real = ftexec.run_benchmark
+
+        def flaky(config, cost_model):
+            if config.failure_model.rate > 0:
+                raise RuntimeError("cell blew up")
+            return real(config, cost_model)
+
+        monkeypatch.setattr(ftexec, "run_benchmark", flaky)  # workers fork
+        out = tmp_path / "BENCH_sweep.json"
+        code = main(
+            ["figures", "headline", "--scale", "0.2", "--jobs", "2",
+             "--sweep-json", str(out)]
+        )
+        assert code == 3
+        assert "quarantined" in capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        quarantined = payload["fault_tolerance"]["quarantined"]
+        assert quarantined
+        assert all("RuntimeError: cell blew up" in cell["failures"][0]
+                   for cell in quarantined)
+        assert payload["results"]
+        assert all(result["config"]["failure_model"]["rate"] == 0
+                   for result in payload["results"])
+        assert payload["cells"] == len(payload["results"]) + len(quarantined)
+
     def test_sweep_cache_hits_on_second_run(self, capsys, tmp_path):
         import json
 
@@ -300,6 +334,20 @@ class TestTraceConflicts:
         err = capsys.readouterr().err
         assert extra[0] in err
         # Nothing ran: no trace directory, no artifact.
+        assert not (tmp_path / "t").exists()
+
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--retries", "2"], ["--retry-delay", "0.1"], ["--timeout", "5"]],
+    )
+    def test_figures_trace_retry_flags_are_errors(self, capsys, tmp_path, extra):
+        code = main(
+            ["figures", "headline", "--scale", "0.05",
+             "--trace", str(tmp_path / "t")] + extra
+        )
+        assert code == 2
+        assert extra[0] in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
 
@@ -572,6 +620,37 @@ class TestFiguresPlan:
         )
         assert main(["figures", "--plan", path, "--scale", "0.1"]) == 2
         assert "--scale" in capsys.readouterr().err
+
+
+class TestFiguresGrid:
+    """Serial, cacheless figures run their grid through run_grid too."""
+
+    ARGV = ["figures", "headline", "--scale", "0.05"]
+
+    def test_ledger_and_artifact_cover_the_whole_grid(self, capsys, tmp_path):
+        import json
+
+        from repro.obs.ledger import read_ledger
+
+        ledger = tmp_path / "figures.ledger.jsonl"
+        out = tmp_path / "BENCH_sweep.json"
+        assert main(
+            self.ARGV + ["--ledger", str(ledger), "--sweep-json", str(out)]
+        ) == 0
+        capsys.readouterr()
+        events, problems = read_ledger(str(ledger))
+        assert problems == []
+        assert {"sweep_begin", "sweep_end"} <= {e["ev"] for e in events}
+        payload = json.loads(out.read_text())
+        # 12 workloads x 5 configurations (the failure-aware no-failure
+        # run is the baseline cell).
+        assert payload["cells"] == len(payload["results"]) == 60
+
+    def test_timeout_quarantines_serial_cells(self, capsys, tmp_path):
+        # --retries 1: a bare --timeout arms three attempts with backoff.
+        code = main(self.ARGV + ["--timeout", "0.001", "--retries", "1"])
+        assert code == 3
+        assert "quarantined" in capsys.readouterr().err
 
 
 class TestSweepRecorder:
