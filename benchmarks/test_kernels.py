@@ -12,6 +12,7 @@ The thresholds are deliberately looser than locally measured numbers
 """
 
 import gc
+import random
 from time import perf_counter
 
 import pytest
@@ -23,6 +24,7 @@ from repro.heap import line_table
 from repro.heap.block import sorted_defrag_candidates
 from repro.heap.heap_table import HeapTable
 from repro.osim.memory_manager import OsMemoryManager
+from repro.workloads.dacapo import DACAPO
 from tests.heap import oracles
 from tests.heap.oracles import (
     EPOCH,
@@ -32,6 +34,7 @@ from tests.heap.oracles import (
     build_synthetic_failure_table,
     synthetic_line_tables,
 )
+from tests.workloads.oracles import sample_size_reference
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +302,29 @@ def kernel_cases(seed=0):
         and bytes(fast_table.lines) == bytes(oracle_table.lines),
     )
 
+    # Trace size draws: the raw-getrandbits routine against randint,
+    # over every DaCapo mix from one seeded generator per call.
+    def draw_sizes(count):
+        rng = random.Random(seed)
+        random_, getrandbits = rng.random, rng.getrandbits
+        return [
+            spec.draw_size(random_, getrandbits) for spec in DACAPO for _ in range(count)
+        ]
+
+    def draw_sizes_oracle(count):
+        rng = random.Random(seed)
+        return [
+            sample_size_reference(spec, rng) for spec in DACAPO for _ in range(count)
+        ]
+
+    per_spec = -(-100_000 // len(DACAPO))  # identity over 100k draws
+    cases["workloads.draw_size (vs randint)"] = (
+        lambda: draw_sizes(200),
+        lambda: draw_sizes_oracle(200),
+        1 / 4,
+        draw_sizes(per_spec) == draw_sizes_oracle(per_spec),
+    )
+
     # Static-failure absorption when the OS boots on an aged module the
     # size of a full-scale heap (4 MB: 1,024 pages, 65,536 lines). Both
     # sides build the same OS; the oracle starts from a clean module and
@@ -353,6 +379,7 @@ def test_kernel_speedups_and_identity():
         "heap sweep (shared table, 8 blocks)": 2.0,
         "static-failure absorption (10%)": 2.0,
         "static-failure absorption (50%)": 4.0,
+        "workloads.draw_size (vs randint)": 1.25,
     }
     # The cheapest kernels time in tens of microseconds total, where a
     # single scheduler spike can sink any floor; one retry at higher

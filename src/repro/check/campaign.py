@@ -25,7 +25,7 @@ from ..hardware.geometry import Geometry
 from ..hardware.pcm import EnduranceModel, PcmModule
 from ..workloads.dacapo import workload
 from ..workloads.driver import TraceDriver, estimate_min_heap
-from .audit import HeapAuditor, Violation
+from .audit import Violation
 
 #: Default workload trio: small/churny, medium-heavy, and LOS-heavy
 #: allocation mixes, so block space, overflow path, and large object
@@ -166,10 +166,10 @@ def _build_vm(
         wear_writes=True,
         compensate=False,
         seed=seed,
-        verify="off",
+        verify=level,
     )
     vm = VirtualMachine(config, injector=injector)
-    vm.auditor = HeapAuditor(vm, level=level, record_only=True)
+    vm.auditor.record_only = True
     return vm
 
 

@@ -223,25 +223,43 @@ class ImmixCollector:
         post-collection retry, unlocking the perfect/borrow fallbacks.
         """
         size = obj.size
-        allow_perfect = after_gc or not self._collect_before_perfect
-        if size > self._large_threshold:
-            placed = self._alloc_large(obj, allow_borrow=allow_perfect)
-        elif size > self._line_size:
-            placed = self._alloc_medium(obj, allow_perfect)
+        stats = self.stats
+        state = self._state
+        if (
+            state is not None
+            and size <= self._large_threshold
+            and state.cursor + size <= state.limit
+        ):
+            # The bump fast path, for any size up to the large
+            # threshold: Block.place and the bump bookkeeping of
+            # _place_in_lines, inlined because this runs once per object.
+            block = state.block
+            cursor = state.cursor
+            obj.block = block
+            obj.offset = cursor
+            obj.los_placement = None
+            block.objects.append(obj)
+            block.allocated_since_gc = True
+            block._obj_gen += 1
+            state.cursor = cursor + size
+            stats.fast_path_allocs += 1
+            stats.run_locality_units += size / state.run_lines
         else:
-            placed = self._alloc_small(obj)
-        if placed:
-            stats = self.stats
-            stats.objects_allocated += 1
-            stats.bytes_allocated += size
+            allow_perfect = after_gc or not self._collect_before_perfect
+            if size > self._large_threshold:
+                placed = self._alloc_large(obj, allow_borrow=allow_perfect)
+            else:
+                placed = self._place_in_lines(obj, allow_perfect)
+            if not placed:
+                return False
             block = obj.block
-            if block is not None and block.failed_lines:
-                stats.block_sparsity_units += (
-                    size * len(block.failed_lines) / block.n_lines
-                )
-            if self._generational:
-                self._young.append(obj)
-        return placed
+        stats.objects_allocated += 1
+        stats.bytes_allocated += size
+        if block is not None and block.failed_lines:
+            stats.block_sparsity_units += size * len(block.failed_lines) / block.n_lines
+        if self._generational:
+            self._young.append(obj)
+        return True
 
     def _alloc_large(self, obj: SimObject, allow_borrow: bool = True) -> bool:
         if self.config.arraylets and self.factory is not None:
@@ -278,12 +296,7 @@ class ImmixCollector:
         while remaining > 0:
             payload = min(remaining, chunk_payload)
             chunk = self.factory.make(payload)
-            placed = (
-                self._alloc_medium(chunk, allow_perfect)
-                if chunk.size > self.geometry.immix_line
-                else self._alloc_small(chunk)
-            )
-            if not placed:
+            if not self._place_in_lines(chunk, allow_perfect):
                 for done in chunks:
                     done.block.remove_object(done)
                     done.block = None
@@ -301,20 +314,27 @@ class ImmixCollector:
         self.stats.arraylet_bytes += obj.size
         return True
 
-    def _alloc_small(self, obj: SimObject) -> bool:
+    def _place_in_lines(self, obj: SimObject, allow_perfect: bool = False) -> bool:
+        """Bump a small or medium object into line space.
+
+        The object goes at the cursor if the current run fits it. If not,
+        a medium object (larger than a line) goes to the overflow block,
+        and a small one advances run by run until one fits.
+        """
         size = obj.size
         state = self._state
-        while True:
-            if state is not None and state.cursor + size <= state.limit:
-                state.block.place(obj, state.cursor)
-                state.cursor += size
-                stats = self.stats
-                stats.fast_path_allocs += 1
-                stats.run_locality_units += size / state.run_lines
-                return True
+        while state is None or state.cursor + size > state.limit:
+            if size > self._line_size:
+                return self._alloc_overflow(obj, allow_perfect)
             state = self._advance_small()
             if state is None:
                 return False
+        state.block.place(obj, state.cursor)
+        state.cursor += size
+        stats = self.stats
+        stats.fast_path_allocs += 1
+        stats.run_locality_units += size / state.run_lines
+        return True
 
     def _advance_small(self) -> Optional[_BumpState]:
         line_size = self.geometry.immix_line
@@ -356,19 +376,8 @@ class ImmixCollector:
         return block
 
     # ------------------------------------------------------------------
-    # Medium objects / overflow allocation (sections 4.1-4.2)
+    # Medium-object overflow allocation (sections 4.1-4.2)
     # ------------------------------------------------------------------
-    def _alloc_medium(self, obj: SimObject, allow_perfect: bool = False) -> bool:
-        size = obj.size
-        state = self._state
-        if state is not None and state.cursor + size <= state.limit:
-            state.block.place(obj, state.cursor)
-            state.cursor += size
-            self.stats.fast_path_allocs += 1
-            self.stats.run_locality_units += size / state.run_lines
-            return True
-        return self._alloc_overflow(obj, allow_perfect)
-
     def _alloc_overflow(self, obj: SimObject, allow_perfect: bool = False) -> bool:
         size = obj.size
         line_size = self.geometry.immix_line
@@ -708,12 +717,10 @@ class ImmixCollector:
         """Re-place a surviving object during evacuation/compaction.
 
         Uses the regular allocation machinery but does not count the
-        placement as a fresh mutator allocation.
+        placement as a fresh mutator allocation. Copies run inside a
+        collection, so the perfect fallback is allowed.
         """
-        if obj.size > self.geometry.immix_line:
-            # Copies run inside a collection: perfect fallback allowed.
-            return self._alloc_medium(obj, allow_perfect=True)
-        return self._alloc_small(obj)
+        return self._place_in_lines(obj, allow_perfect=True)
 
     def _evacuate_flagged(self, epoch: int) -> None:
         flagged = [block for block in self.blocks if block.evacuate]
@@ -741,10 +748,12 @@ class ImmixCollector:
     def _copy_survivors(self, survivors: List[SimObject], epoch: int) -> None:
         """Opportunistically compact nursery survivors (sticky Immix).
 
-        Removal from the source block's object list is deferred and
-        batched: placement never consults source object lists (free
-        runs come from line marks, which removal does not touch), so
-        dropping all of a source's moved objects in one list rebuild
+        Each copy first tries the bump fast path (inlined as in
+        :meth:`allocate`), then :meth:`_place_copy`. Removal from the
+        source block's object list is deferred and batched: placement
+        never consults source object lists (free runs come from line
+        marks, which removal does not touch), and a moved object's
+        ``block`` already names its new block, so one filter per source
         after the loop is order-equivalent to the eager per-object
         ``list.remove`` — without its quadratic cost on survivor-heavy
         nurseries. The two cases where an object re-enters its source
@@ -757,7 +766,7 @@ class ImmixCollector:
         addresses and would let page-release order vary between runs.
         """
         touched_sources: Dict[Block, None] = {}
-        pending: Dict[Block, Set[int]] = {}
+        stats = self.stats
         for obj in survivors:
             if obj.pinned or obj.is_large or obj.block is None:
                 continue
@@ -765,33 +774,43 @@ class ImmixCollector:
             old_offset = obj.offset
             obj.block = None
             obj.offset = None
-            dropped = pending.setdefault(source, set())
-            dropped.add(id(obj))
-            if self._place_copy(obj):
+            size = obj.size
+            state = self._state
+            if state is not None and state.cursor + size <= state.limit:
+                block = state.block
+                cursor = state.cursor
+                obj.block = block
+                obj.offset = cursor
+                obj.los_placement = None
+                block.objects.append(obj)
+                block.allocated_since_gc = True
+                block._obj_gen += 1
+                state.cursor = cursor + size
+                stats.fast_path_allocs += 1
+                stats.run_locality_units += size / state.run_lines
+                placed = True
+            else:
+                placed = self._place_copy(obj)
+            if placed:
                 if obj.block is source:
                     # The copy landed back in its own block: the list
                     # now holds the object twice (stale slot + fresh
                     # append). Drop the stale entry now, exactly as
                     # remove-then-place would have.
-                    dropped.discard(id(obj))
                     source.objects.remove(obj)
                     source.touch_objects()
-                self.stats.objects_copied += 1
-                self.stats.bytes_copied += obj.size
+                stats.objects_copied += 1
+                stats.bytes_copied += size
                 obj.moved_count += 1
                 touched_sources[source] = None
             else:
-                dropped.discard(id(obj))
                 source.objects.remove(obj)
                 source.touch_objects()
                 source.place(obj, old_offset)
                 break  # out of copy space: leave the rest in place
-        for source, dropped in pending.items():
-            if dropped:
-                source.objects = [o for o in source.objects if id(o) not in dropped]
-                source.touch_objects()
-        # Recover the space the moved objects vacated right away.
+        # Drop the moved objects, then recover the space they vacated.
         for source in touched_sources:
+            source.objects = [o for o in source.objects if o.block is source]
             source.rebuild_line_marks(epoch, keep_old=True)
             if not source.objects:
                 self._release_block(source)

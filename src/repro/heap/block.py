@@ -243,27 +243,18 @@ class Block:
         re-stamping FAILED lines last, instead of resolving precedence
         per line. Conflict recording is unchanged: a conflict is exactly
         a survivor's span crossing a line in ``failed_lines``, reported
-        in object order with ascending lines.
+        in object order with ascending lines. The re-stamp notes whether
+        any failed line was already covered by a survivor span; only
+        then are survivors searched for conflicts.
         """
         states = self.table.lines
         base = self._base
         n = self.n_lines
         states[base : base + n] = bytes(n)
         line_size = self.geometry.immix_line
-        failed = self.failed_lines
-        if failed:
-            failed_sorted = sorted(failed)
-            min_failed = failed_sorted[0]
-            max_failed = failed_sorted[-1]
-            n_failed = len(failed_sorted)
-        else:
-            failed_sorted = None
-            min_failed = max_failed = n_failed = 0
         survivors: List[SimObject] = []
         pinned_spans: List[Tuple[int, int]] = []
-        conflicts: List[Tuple[int, int]] = []
         survive = survivors.append
-        conflict = conflicts.append
         # Adjacent live spans merge into one slice-assign: allocation
         # order tracks offset order within a block, so consecutive
         # survivors usually touch consecutive lines. Writes are all
@@ -290,16 +281,6 @@ class Block:
                     )
                 span_first = first
                 span_stop = stop
-            if failed_sorted is not None and first <= max_failed and stop > min_failed:
-                # A FAILED mark is hardware truth; a survivor
-                # overlapping it (pinned, or an aborted evacuation)
-                # must never mask it as LIVE — that would let a later
-                # sweep hand the failed line back to the allocator.
-                # Record the conflict for the auditor.
-                i = bisect_left(failed_sorted, first)
-                while i < n_failed and failed_sorted[i] < stop:
-                    conflict((obj.oid, failed_sorted[i]))
-                    i += 1
         if span_first >= 0:
             states[base + span_first : base + span_stop] = b"\x01" * (
                 span_stop - span_first
@@ -309,10 +290,16 @@ class Block:
                 states[base + first] = 2
             else:
                 states[base + first : base + stop] = b"\x02" * (stop - first)
-        if failed_sorted is not None:
-            for line in failed_sorted:
-                states[base + line] = FAILED
-        self.mark_conflicts = conflicts
+        covered = False
+        for line in self.failed_lines:
+            if states[base + line]:
+                covered = True
+            states[base + line] = FAILED
+        # A FAILED mark is hardware truth; a survivor overlapping it
+        # (pinned, or an aborted evacuation) must never mask it as LIVE
+        # — that would let a later sweep hand the failed line back to
+        # the allocator. Record the conflict for the auditor.
+        self.mark_conflicts = self._failed_line_conflicts(survivors) if covered else []
         self.objects = survivors
         self.allocated_since_gc = False
         self.touch_lines()
@@ -321,6 +308,24 @@ class Block:
             LIVE_PINNED, base, base + n
         )
         return live_lines, n
+
+    def _failed_line_conflicts(
+        self, survivors: List[SimObject]
+    ) -> List[Tuple[int, int]]:
+        """``(oid, line)`` for every failed line a survivor spans, in
+        survivor order with ascending lines."""
+        failed_sorted = sorted(self.failed_lines)
+        n_failed = len(failed_sorted)
+        line_size = self.geometry.immix_line
+        conflicts: List[Tuple[int, int]] = []
+        for obj in survivors:
+            first = obj.offset // line_size
+            stop = (obj.offset + obj.size - 1) // line_size + 1
+            i = bisect_left(failed_sorted, first)
+            while i < n_failed and failed_sorted[i] < stop:
+                conflicts.append((obj.oid, failed_sorted[i]))
+                i += 1
+        return conflicts
 
     # ------------------------------------------------------------------
     # Object extent index

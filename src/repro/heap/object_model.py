@@ -18,12 +18,17 @@ ALIGNMENT = 8
 HEADER_BYTES = 8
 
 
+#: :func:`aligned_size` as two constants, for per-object loops that
+#: inline it: footprint = (requested + ALIGN_PAD) & ALIGN_MASK.
+ALIGN_PAD = HEADER_BYTES + ALIGNMENT - 1
+ALIGN_MASK = ~(ALIGNMENT - 1)
+
+
 def aligned_size(requested: int) -> int:
     """Total footprint of an object of ``requested`` payload bytes."""
     if requested < 0:
         raise ValueError("object size must be >= 0")
-    total = requested + HEADER_BYTES
-    return (total + ALIGNMENT - 1) & ~(ALIGNMENT - 1)
+    return (requested + ALIGN_PAD) & ALIGN_MASK
 
 
 class SimObject:
@@ -39,11 +44,10 @@ class SimObject:
         "pinned",
         "mark",
         "old",
-        "birth",
         "moved_count",
     )
 
-    def __init__(self, oid: int, size: int, pinned: bool = False, birth: int = 0) -> None:
+    def __init__(self, oid: int, size: int, pinned: bool = False) -> None:
         self.oid = oid
         self.size = size
         self.block = None  # repro.heap.block.Block when small/medium
@@ -58,7 +62,6 @@ class SimObject:
         #: Nursery (sticky) collections treat old objects as implicitly
         #: live and do not trace into them.
         self.old = False
-        self.birth = birth
         self.moved_count = 0
 
     # ------------------------------------------------------------------
@@ -96,15 +99,16 @@ class SimObject:
 
 
 class ObjectFactory:
-    """Mints objects with unique ids and a monotonically advancing clock."""
+    """Mints objects with unique ids and counts them (the VM's ``alloc``
+    mints inline against the same counters)."""
 
     def __init__(self) -> None:
         self._next_oid = 0
         self.allocated_objects = 0
         self.allocated_bytes = 0
 
-    def make(self, size: int, pinned: bool = False, clock: int = 0) -> SimObject:
-        obj = SimObject(self._next_oid, aligned_size(size), pinned, birth=clock)
+    def make(self, size: int, pinned: bool = False) -> SimObject:
+        obj = SimObject(self._next_oid, aligned_size(size), pinned)
         self._next_oid += 1
         self.allocated_objects += 1
         self.allocated_bytes += obj.size

@@ -27,7 +27,7 @@ from ..errors import ConfigError, OutOfMemoryError
 from ..faults.generator import FailureModel
 from ..faults.injector import FaultInjector
 from ..hardware.geometry import Geometry
-from ..heap.object_model import ObjectFactory, SimObject
+from ..heap.object_model import ALIGN_MASK, ALIGN_PAD, ObjectFactory, SimObject
 from ..heap.page_supply import HeapPage, PageSupply
 from ..obs.trace import Tracer
 from ..policies import policy_triple
@@ -146,6 +146,10 @@ class VirtualMachine:
             self.collector.tracer = self.tracer
             self.collector.los.tracer = self.tracer
         self.auditor = HeapAuditor(self, level=self._verify_level())
+        # Only "paranoid" audits on allocation; other levels skip the call.
+        self._audit_alloc = (
+            self.auditor.after_alloc if self.auditor.level == "paranoid" else None
+        )
 
     # ------------------------------------------------------------------
     # Snapshot support (see repro.sim.snapshot)
@@ -273,10 +277,19 @@ class VirtualMachine:
     # Mutator interface
     # ------------------------------------------------------------------
     def alloc(self, size: int, pinned: bool = False) -> SimObject:
-        """Allocate an object, collecting (and retrying) as needed."""
+        """Allocate an object, collecting (and retrying) as needed.
+
+        Mints the object inline, as :meth:`ObjectFactory.make` would.
+        """
         if self._pending_failure_gc:
             self._failure_collection()
-        obj = self.factory.make(size, pinned=pinned)
+        if size < 0:
+            raise ValueError("object size must be >= 0")
+        factory = self.factory
+        obj = SimObject(factory._next_oid, (size + ALIGN_PAD) & ALIGN_MASK, pinned)
+        factory._next_oid += 1
+        factory.allocated_objects += 1
+        factory.allocated_bytes += obj.size
         if not self.collector.allocate(obj):
             self.collect()
             if not self.collector.allocate(obj, after_gc=True):
@@ -289,7 +302,8 @@ class VirtualMachine:
                     )
         if self.config.wear_writes:
             self._write_object(obj)
-        self.auditor.after_alloc()
+        if self._audit_alloc is not None:
+            self._audit_alloc()
         return obj
 
     def add_root(self, obj: SimObject) -> None:
@@ -299,8 +313,11 @@ class VirtualMachine:
         self._roots.pop(obj.oid, None)
 
     def add_ref(self, parent: SimObject, child: SimObject) -> None:
-        parent.add_ref(child)
-        self.collector.write_barrier(parent, child)
+        parent.refs.append(child)
+        if parent.old and not child.old:
+            # Only an old->young edge can need remembering; the barrier
+            # itself decides whether this collector keeps one.
+            self.collector.write_barrier(parent, child)
         if self.config.wear_writes:
             self._write_slot(parent)
 

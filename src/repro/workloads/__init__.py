@@ -1,7 +1,7 @@
 """Synthetic DaCapo-style workloads and the trace driver."""
 
 from .dacapo import ANALYSIS_EXCLUDED, BY_NAME, DACAPO, analysis_suite, full_suite, workload
-from .driver import DriveResult, LivenessProbe, TraceDriver, estimate_min_heap
+from .driver import DriveResult, TraceDriver, estimate_min_heap
 from .spec import LARGE, MEDIUM, SMALL, SizeBand, WorkloadSpec
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "full_suite",
     "workload",
     "DriveResult",
-    "LivenessProbe",
     "TraceDriver",
     "estimate_min_heap",
     "LARGE",

@@ -1,11 +1,10 @@
 """The trace driver: turns a :class:`WorkloadSpec` into allocations.
 
-One driver, two sinks:
-
-* a :class:`VirtualMachine` — the real run;
-* :class:`LivenessProbe` — a VM-free dry run that tracks live bytes, used
-  to determine each benchmark's *minimum heap* (the paper sizes every
-  experiment as a multiple of the per-benchmark minimum).
+The driver feeds one sink, normally a :class:`VirtualMachine`. The
+benchmark's *minimum heap* (the paper sizes every experiment as a
+multiple of the per-benchmark minimum) comes from
+:func:`estimate_min_heap`, which walks the same cohort draws without a
+sink.
 
 Because lifetimes are measured in allocated bytes, the driver advances
 its own clock (in aligned object footprints), and all randomness comes
@@ -20,59 +19,73 @@ import heapq
 import random
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..hardware.geometry import Geometry
-from ..heap.object_model import aligned_size
+from ..heap.object_model import ALIGN_MASK, ALIGN_PAD
 from ..units import KiB
-from .spec import WorkloadSpec
+from .spec import WorkloadSpec, draw_uniform
 
 
-class LivenessProbe:
-    """A sink that only tracks liveness (for min-heap estimation)."""
+def trace_rng(spec: WorkloadSpec, seed: int) -> random.Random:
+    """The seeded generator behind one workload trace."""
+    # crc32, not hash(): str hashes are randomized per process
+    # (PYTHONHASHSEED), which made traces — and thus every result —
+    # irreproducible across processes, workers, and cache entries.
+    return random.Random((seed << 16) ^ (zlib.crc32(spec.name.encode()) & 0xFFFF))
 
-    def __init__(self, geometry: Optional[Geometry] = None) -> None:
-        self.geometry = geometry or Geometry()
-        self.live_bytes = 0
-        self.peak_live_bytes = 0
-        self._cohort_bytes: dict = {}
-        self._next_id = 0
-        self.objects_allocated = 0
 
-    class _Stub:
-        __slots__ = ("oid", "size")
+def draw_immortal_cohort(
+    spec: WorkloadSpec, rng: random.Random, filled: int
+) -> Tuple[List[int], List[int]]:
+    """``(sizes, footprints)`` of the next immortal cohort, head first.
 
-        def __init__(self, oid: int, size: int) -> None:
-            self.oid = oid
-            self.size = size
+    The head comes from the small band; children follow until the
+    cohort is full or ``filled`` reaches the immortal volume.
+    """
+    random_, getrandbits = rng.random, rng.getrandbits
+    sizes = [draw_uniform(getrandbits, spec.draw_plan[3])]  # small band
+    footprints = [(sizes[0] + ALIGN_PAD) & ALIGN_MASK]
+    filled += footprints[0]
+    for _ in range(spec.cohort_size - 1):
+        if filled >= spec.immortal_bytes:
+            break
+        size = spec.draw_size(random_, getrandbits)
+        sizes.append(size)
+        footprints.append((size + ALIGN_PAD) & ALIGN_MASK)
+        filled += footprints[-1]
+    return sizes, footprints
 
-    def _footprint(self, size: int) -> int:
-        total = aligned_size(size)
-        if total > 8 * KiB:  # large objects occupy whole pages
-            page = self.geometry.page
-            total = (total + page - 1) // page * page
-        return total
 
-    def alloc(self, size: int, pinned: bool = False):
-        stub = self._Stub(self._next_id, self._footprint(size))
-        self._next_id += 1
-        self.objects_allocated += 1
-        self.live_bytes += stub.size
-        self.peak_live_bytes = max(self.peak_live_bytes, self.live_bytes)
-        return stub
+def draw_churn_cohort(
+    spec: WorkloadSpec, rng: random.Random, clock: int
+) -> Tuple[int, List[int], List[int], List[bool]]:
+    """``(lifetime, sizes, footprints, pinned)`` of the next churn cohort.
 
-    def add_root(self, obj) -> None:
-        self._cohort_bytes[obj.oid] = obj.size
-
-    def remove_root(self, obj) -> None:
-        self.live_bytes -= self._cohort_bytes.pop(obj.oid)
-
-    def add_ref(self, parent, child) -> None:
-        # Cohort members live and die with their head.
-        self._cohort_bytes[parent.oid] += child.size
-
-    def mutate(self, obj) -> None:
-        return None
+    The head comes from the small band, is never pinned, and is
+    followed by the cohort's lifetime draw. Each child draws its pinned
+    bit, then its size; the cohort stops early once ``clock`` reaches
+    the workload's allocation volume.
+    """
+    random_, getrandbits = rng.random, rng.getrandbits
+    sizes = [draw_uniform(getrandbits, spec.draw_plan[3])]  # small band
+    footprints = [(sizes[0] + ALIGN_PAD) & ALIGN_MASK]
+    pinned = [False]
+    clock += footprints[0]
+    lifetime = spec.sample_lifetime(rng)
+    draw_size = spec.draw_size
+    pinned_fraction = spec.pinned_fraction
+    total = spec.total_alloc_bytes
+    for _ in range(spec.cohort_size - 1):
+        pinned.append(random_() < pinned_fraction)
+        size = draw_size(random_, getrandbits)
+        footprint = (size + ALIGN_PAD) & ALIGN_MASK
+        sizes.append(size)
+        footprints.append(footprint)
+        clock += footprint
+        if clock >= total:
+            break
+    return lifetime, sizes, footprints, pinned
 
 
 @dataclass
@@ -151,13 +164,7 @@ class TraceDriver:
     # ------------------------------------------------------------------
     def begin(self) -> DriverState:
         """Start (or restart) the trace; returns the fresh state."""
-        # crc32, not hash(): str hashes are randomized per process
-        # (PYTHONHASHSEED), which made traces — and thus every result —
-        # irreproducible across processes, workers, and cache entries.
-        rng = random.Random(
-            (self.seed << 16) ^ (zlib.crc32(self.spec.name.encode()) & 0xFFFF)
-        )
-        self.state = DriverState(rng)
+        self.state = DriverState(trace_rng(self.spec, self.seed))
         return self.state
 
     @property
@@ -188,52 +195,51 @@ class TraceDriver:
             state.clock += state.immortal
             state.phase = DriverState.CHURN
             return
-        rng = state.rng
-        head_size = spec.small.sample(rng)
+        sizes, footprints = draw_immortal_cohort(spec, state.rng, state.immortal)
+        cohort = zip(sizes, footprints)
+        head_size, footprint = next(cohort)
         head = sink.alloc(head_size)
         sink.add_root(head)
-        state.immortal += aligned_size(head_size)
+        state.immortal += footprint
         state.objects += 1
-        for _ in range(spec.cohort_size - 1):
-            if state.immortal >= spec.immortal_bytes:
-                break
-            child_size = spec.sample_size(rng)
-            child = sink.alloc(child_size)
-            sink.add_ref(head, child)
-            state.immortal += aligned_size(child_size)
+        for size, footprint in cohort:
+            sink.add_ref(head, sink.alloc(size))
+            state.immortal += footprint
             state.objects += 1
 
     def _step_churn(self, state: DriverState, sink) -> None:
         """One churn cohort with a sampled lifetime."""
         spec = self.spec
-        rng = state.rng
-        while state.pending and state.pending[0][0] <= state.clock:
-            _, _, dead_head = heapq.heappop(state.pending)
+        pending = state.pending
+        while pending and pending[0][0] <= state.clock:
+            _, _, dead_head = heapq.heappop(pending)
             sink.remove_root(dead_head)
             state.expired += 1
-        head_size = spec.small.sample(rng)
+        lifetime, sizes, footprints, pinned = draw_churn_cohort(
+            spec, state.rng, state.clock
+        )
+        cohort = zip(sizes, footprints, pinned)
+        head_size, footprint, _ = next(cohort)
         head = sink.alloc(head_size)
         sink.add_root(head)
-        state.clock += aligned_size(head_size)
+        state.clock += footprint
         state.objects += 1
         state.cohorts += 1
-        lifetime = spec.sample_lifetime(rng)
-        heapq.heappush(state.pending, (state.clock + lifetime, state.sequence, head))
+        heapq.heappush(pending, (state.clock + lifetime, state.sequence, head))
         state.sequence += 1
-        for _ in range(spec.cohort_size - 1):
-            pinned = rng.random() < spec.pinned_fraction
-            child_size = spec.sample_size(rng)
-            child = sink.alloc(child_size, pinned=pinned)
-            sink.add_ref(head, child)
-            state.clock += aligned_size(child_size)
+        alloc = sink.alloc
+        add_ref = sink.add_ref
+        mutations = spec.mutations_per_object
+        for size, footprint, pin in cohort:
+            child = alloc(size, pin)
+            add_ref(head, child)
+            state.clock += footprint
             state.objects += 1
-            if spec.mutations_per_object > 0:
-                state.mutation_budget += spec.mutations_per_object
+            if mutations > 0:
+                state.mutation_budget += mutations
                 while state.mutation_budget >= 1.0:
                     sink.mutate(child)
                     state.mutation_budget -= 1.0
-            if state.clock >= spec.total_alloc_bytes:
-                break
 
     def result(self) -> DriveResult:
         state = self.state
@@ -263,14 +269,41 @@ def estimate_min_heap(
 ) -> int:
     """The benchmark's minimum heap, block-aligned (paper section 5).
 
-    A dry run measures peak live bytes; the minimum workable heap adds
-    collector headroom (a heap exactly equal to peak live thrashes).
-    The estimate is collector-independent, as in the paper, which picks
-    one minimum per benchmark and sizes all configurations from it.
+    Peak live bytes come from the driver's cohort draws alone, with no
+    sink: a cohort's footprints stay live until its death clock, and
+    live bytes only fall when a cohort starts, so the peak is read at
+    cohort ends. The minimum workable heap adds collector headroom (a
+    heap exactly equal to peak live thrashes). The estimate is
+    collector-independent, as in the paper, which picks one minimum per
+    benchmark and sizes all configurations from it.
     """
     geometry = geometry or Geometry()
-    probe = LivenessProbe(geometry)
-    TraceDriver(spec, seed).run(probe)
-    raw = int(probe.peak_live_bytes * headroom) + 2 * geometry.block
+    page = geometry.page
+
+    def cohort_bytes(footprints: List[int]) -> int:
+        # Large objects occupy whole pages.
+        return sum(f if f <= 8 * KiB else -(-f // page) * page for f in footprints)
+
+    rng = trace_rng(spec, seed)
+    immortal = live = 0
+    while immortal < spec.immortal_bytes:
+        _, footprints = draw_immortal_cohort(spec, rng, immortal)
+        immortal += sum(footprints)
+        live += cohort_bytes(footprints)
+    clock = immortal
+    peak = live  # immortal cohorts only add live bytes
+    # (death clock, cohort bytes): every death at or before the clock
+    # is popped, so ties need no sequence number.
+    pending: List[Tuple[int, int]] = []
+    while clock < spec.total_alloc_bytes:
+        while pending and pending[0][0] <= clock:
+            live -= heapq.heappop(pending)[1]
+        lifetime, _, footprints, _ = draw_churn_cohort(spec, rng, clock)
+        cohort = cohort_bytes(footprints)
+        heapq.heappush(pending, (clock + footprints[0] + lifetime, cohort))
+        clock += sum(footprints)
+        live += cohort
+        peak = max(peak, live)
+    raw = int(peak * headroom) + 2 * geometry.block
     block = geometry.block
     return (raw + block - 1) // block * block

@@ -16,10 +16,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 from ..errors import ConfigError
 from ..units import KiB, MiB
+
+
+def draw_uniform(getrandbits: Callable[[int], int], band: Tuple[int, int, int]) -> int:
+    """``Random.randint(lo, hi)`` over a band prepared as ``(lo, width,
+    width.bit_length())``, bit-identical.
+
+    On CPython 3.9-3.12, ``randint`` draws ``getrandbits(bits)`` until
+    the result is below ``width`` and adds ``lo``; this is that loop
+    without the four frames of argument checking around it.
+    """
+    lo, width, bits = band
+    r = getrandbits(bits)
+    while r >= width:
+        r = getrandbits(bits)
+    return lo + r
 
 
 @dataclass(frozen=True)
@@ -33,8 +48,13 @@ class SizeBand:
         if not 0 < self.lo <= self.hi:
             raise ConfigError(f"invalid size band [{self.lo}, {self.hi}]")
 
+    @property
+    def draw_band(self) -> Tuple[int, int, int]:
+        width = self.hi - self.lo + 1
+        return (self.lo, width, width.bit_length())
+
     def sample(self, rng: random.Random) -> int:
-        return rng.randint(self.lo, self.hi)
+        return draw_uniform(rng.getrandbits, self.draw_band)
 
 
 #: Default bands relative to the paper's geometry: small fits one
@@ -88,17 +108,30 @@ class WorkloadSpec:
             raise ConfigError("cohort_size must be >= 1")
         if not 0.0 <= self.pinned_fraction <= 1.0:
             raise ConfigError("pinned_fraction outside [0, 1]")
+        # The draw constants, computed once with the band pick's float
+        # sums: cut points, then the small, medium and large bands.
+        small_w, medium_w, large_w = self.size_weights
+        plan = (small_w, small_w + medium_w, small_w + medium_w + large_w)
+        plan += (self.small.draw_band, self.medium.draw_band, self.large.draw_band)
+        object.__setattr__(self, "draw_plan", plan)
 
     # ------------------------------------------------------------------
+    def draw_size(
+        self, random_: Callable[[], float], getrandbits: Callable[[int], int]
+    ) -> int:
+        """One payload size from the mixture, given the generator's
+        bound ``random`` and ``getrandbits``."""
+        small_cut, medium_cut, total, small, medium, large = self.draw_plan
+        pick = random_() * total
+        if pick < small_cut:
+            return draw_uniform(getrandbits, small)
+        if pick < medium_cut:
+            return draw_uniform(getrandbits, medium)
+        return draw_uniform(getrandbits, large)
+
     def sample_size(self, rng: random.Random) -> int:
         """Draw one payload size from the mixture."""
-        small_w, medium_w, large_w = self.size_weights
-        pick = rng.random() * (small_w + medium_w + large_w)
-        if pick < small_w:
-            return self.small.sample(rng)
-        if pick < small_w + medium_w:
-            return self.medium.sample(rng)
-        return self.large.sample(rng)
+        return self.draw_size(rng.random, rng.getrandbits)
 
     def sample_lifetime(self, rng: random.Random) -> int:
         """Draw one cohort lifetime in allocated bytes (exponential)."""

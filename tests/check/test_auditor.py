@@ -161,6 +161,30 @@ class TestHookGating:
         assert calls == ["alloc", "alloc"]
 
 
+class TestVmAllocHook:
+    """The VM calls ``after_alloc`` only at the paranoid level."""
+
+    ALLOCS = 3 * PARANOID_ALLOC_INTERVAL
+
+    def allocate(self, level):
+        vm = VirtualMachine(VmConfig(heap_bytes=1 * MiB, verify=level))
+        triggers = []
+        vm.auditor.audit = lambda trigger="manual": triggers.append(trigger)
+        for _ in range(self.ALLOCS):
+            vm.alloc(48)
+        return triggers
+
+    def test_paranoid_audits_every_interval(self):
+        assert self.allocate("paranoid") == ["alloc"] * 3
+
+    @pytest.mark.parametrize("level", ["off", "gc"])
+    def test_other_levels_never_call_the_hook(self, level, monkeypatch):
+        calls = []
+        monkeypatch.setattr(HeapAuditor, "after_alloc", lambda self: calls.append(1))
+        assert self.allocate(level) == []
+        assert calls == []
+
+
 # ======================================================================
 # Detection power: every seeded corruption must be flagged
 # ======================================================================

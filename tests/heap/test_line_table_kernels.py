@@ -234,6 +234,91 @@ class TestSweepEquivalence:
         assert sweep_state(fast) == sweep_state(reference)
 
 
+@st.composite
+def sweep_cases(draw):
+    """A block description for the sweep property: line size, failed
+    lines (lines 0 and n-1 often among them), objects laid out left to
+    right as ``(gap, size, pinned, marked, old)``, and ``keep_old``."""
+    immix_line = draw(st.sampled_from([64, 128, 256]))
+    n = Geometry(immix_line=immix_line).immix_lines_per_block
+    failed = draw(st.sets(st.integers(0, n - 1), max_size=12))
+    if draw(st.booleans()):
+        failed.add(0)
+    if draw(st.booleans()):
+        failed.add(n - 1)
+    objects = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3 * immix_line),
+                st.integers(1, 4 * immix_line),
+                st.booleans(),
+                st.booleans(),
+                st.booleans(),
+            ),
+            max_size=40,
+        )
+    )
+    return immix_line, sorted(failed), objects, draw(st.booleans())
+
+
+def described_block(immix_line, failed, objects):
+    """Build a block from a :func:`sweep_cases` description. Failed
+    lines enter through ``failed_lines`` alone, as in :func:`fresh_block`
+    with no line-state write: the sweep must re-stamp them itself."""
+    geometry = Geometry(immix_line=immix_line)
+    pages = [HeapPage(i, frozenset()) for i in range(geometry.pages_per_block)]
+    block = Block(0, pages, geometry)
+    block.failed_lines.update(failed)
+    factory = ObjectFactory()
+    cursor = 0
+    for gap, size, pinned, marked, old in objects:
+        obj = factory.make(size, pinned=pinned)
+        offset = cursor + gap // 8 * 8
+        if offset + obj.size > geometry.block:
+            break
+        obj.mark = 1 if marked else 0
+        obj.old = old
+        block.place(obj, offset)
+        cursor = offset + obj.size
+    return block
+
+
+class TestSweepConflictProperty:
+    @given(sweep_cases())
+    def test_matches_reference(self, case):
+        immix_line, failed, objects, keep_old = case
+        fast = described_block(immix_line, failed, objects)
+        reference = described_block(immix_line, failed, objects)
+        assert fast.rebuild_line_marks(
+            1, keep_old=keep_old
+        ) == oracles.rebuild_line_marks_reference(reference, 1, keep_old=keep_old)
+        assert sweep_state(fast) == sweep_state(reference)
+
+    @pytest.mark.parametrize("keep_old", [False, True])
+    def test_edge_lines_covered_only_by_pinned_spans(self, keep_old):
+        geometry = Geometry()
+        line = geometry.immix_line
+        n = geometry.immix_lines_per_block
+        # Pinned objects over lines 0..1 and n-2..n-1, an unpinned one
+        # on line 4 touching no failed line, and a dead pinned one on
+        # line 5: the only conflicts are the live pinned spans.
+        objects = [
+            (0, 2 * line - 8, True, True, False),
+            (2 * line, line - 8, False, True, False),
+            (0, line - 8, True, False, False),
+            ((n - 8) * line, 2 * line - 8, True, not keep_old, keep_old),
+        ]
+        failed = [0, 5, n - 1]
+        fast = described_block(line, failed, objects)
+        reference = described_block(line, failed, objects)
+        assert fast.rebuild_line_marks(
+            1, keep_old=keep_old
+        ) == oracles.rebuild_line_marks_reference(reference, 1, keep_old=keep_old)
+        assert sweep_state(fast) == sweep_state(reference)
+        first, last = fast.objects[0].oid, fast.objects[-1].oid
+        assert fast.mark_conflicts == [(first, 0), (last, n - 1)]
+
+
 class TestExtentIndex:
     def test_matches_reference_lookup(self):
         block = build_synthetic_block(Geometry(), seed=11)

@@ -7,8 +7,11 @@ import pytest
 from repro.hardware.geometry import Geometry
 from repro.runtime.vm import VirtualMachine, VmConfig
 from repro.units import KiB, MiB
-from repro.workloads.driver import LivenessProbe, TraceDriver, estimate_min_heap
+from repro.workloads.dacapo import DACAPO, workload
+from repro.workloads.driver import TraceDriver, estimate_min_heap
 from repro.workloads.spec import WorkloadSpec
+
+from .oracles import LivenessProbe, estimate_min_heap_reference
 
 G = Geometry()
 
@@ -102,3 +105,32 @@ class TestMinHeapEstimation:
         vm = VirtualMachine(VmConfig(heap_bytes=2 * min_heap))
         TraceDriver(SPEC, 0).run(vm)  # must not raise
         assert vm.stats.objects_allocated > 0
+
+
+class TestMinHeapOracle:
+    """The sink-free estimate equals the probe-driven one."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.35, 0.02])
+    @pytest.mark.parametrize("name", [spec.name for spec in DACAPO])
+    def test_matches_probe_for_every_dacapo_workload(self, name, scale):
+        spec = workload(name)
+        if scale != 1.0:
+            spec = spec.scaled(scale)
+        # The keys the harness caches min heaps on: workload, line size
+        # and scale.
+        for immix_line in (64, 128, 256):
+            geometry = Geometry(immix_line=immix_line)
+            assert estimate_min_heap(
+                spec, geometry=geometry
+            ) == estimate_min_heap_reference(spec, geometry=geometry)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_matches_probe_across_seeds_and_pinning(self, seed):
+        for spec in (
+            SPEC,
+            dataclasses.replace(SPEC, pinned_fraction=0.3, immortal_bytes=0),
+            dataclasses.replace(SPEC, size_weights=(0.2, 0.3, 0.5)),
+        ):
+            assert estimate_min_heap(spec, seed) == estimate_min_heap_reference(
+                spec, seed
+            )
