@@ -89,6 +89,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -130,7 +131,7 @@ from .sim.plan import (
 )
 from .sim.snapshot import CheckpointPolicy
 from .sim.tracing import TraceDirectory, trace_metadata
-from .workloads.dacapo import DACAPO
+from .workloads.dacapo import BY_NAME, DACAPO
 
 #: figure name -> callable(runner, scale) -> list of FigureResult
 _FIGURES = {}
@@ -1250,6 +1251,20 @@ def cmd_check(args) -> int:
     return 0 if result.ok else 1
 
 
+def _lifetime_problem(args) -> Optional[str]:
+    """The first bad ``lifetime`` argument, as a message, or None."""
+    if args.workload not in BY_NAME:
+        return (
+            f"unknown workload {args.workload!r}; "
+            f"available: {', '.join(sorted(BY_NAME))}"
+        )
+    if args.iterations < 1:
+        return f"--iterations must be >= 1, got {args.iterations}"
+    if not 0 < args.endurance < math.inf:
+        return f"--endurance must be a positive number of writes, got {args.endurance}"
+    return None
+
+
 def cmd_lifetime(args) -> int:
     import dataclasses
 
@@ -1261,6 +1276,10 @@ def cmd_lifetime(args) -> int:
     )
     from .workloads.dacapo import workload
 
+    problem = _lifetime_problem(args)
+    if problem is not None:
+        obslog.warn(f"lifetime: {problem}")
+        return 2
     spec = write_heavy(workload(args.workload), mutations_per_object=2.0)
     spec = dataclasses.replace(
         spec, total_alloc_bytes=min(spec.total_alloc_bytes, 1_500_000)

@@ -120,6 +120,7 @@ class ClusteringController:
 
     def __init__(self, geometry: Geometry) -> None:
         self.geometry = geometry
+        self._per_region = geometry.lines_per_region
         self._maps: dict = {}
         #: Optional observability hook; see :mod:`repro.obs.trace`.
         self.tracer = None
@@ -145,7 +146,7 @@ class ClusteringController:
 
     def translate_line(self, global_line: int) -> int:
         """Global physical line index backing global logical line index."""
-        per_region = self.geometry.lines_per_region
+        per_region = self._per_region
         region_index, offset = divmod(global_line, per_region)
         rmap = self._maps.get(region_index)
         if rmap is None:
@@ -155,7 +156,7 @@ class ClusteringController:
     def record_failure(self, global_line: int) -> int:
         """Route a failure through its region map; return the logical
         global line index that software must treat as failed."""
-        per_region = self.geometry.lines_per_region
+        per_region = self._per_region
         region_index, offset = divmod(global_line, per_region)
         rmap = self.map_for_region(region_index)
         boundary = rmap.record_failure(offset)

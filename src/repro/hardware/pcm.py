@@ -23,7 +23,14 @@ exhausted — is what the experiments depend on.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Optional, Set
+import sys
+from math import cos as _cos
+from math import log as _log
+from math import pi as _pi
+from math import sqrt as _sqrt
+from typing import Callable, Dict, Iterable, List, Optional, Set
+
+from _random import Random as _CRandom
 
 from ..errors import AddressError
 from .clustering import ClusteringController
@@ -32,9 +39,29 @@ from .failure_buffer import FailureBuffer, InterruptKind
 from .geometry import Geometry
 from .wear_leveling import NoWearLeveling, WearLeveler
 
+_TWOPI = 2.0 * _pi
+if sys.version_info >= (3, 10):
+    _seeded_generator = _CRandom
+else:  # 3.9's C constructor seeds from its argument tuple, not the seed
+    _seeded_generator = random.Random
+
+
+def seeded_gauss(seed: int, mu: float, sigma: float) -> float:
+    """``random.Random(seed).gauss(mu, sigma)``, for a fraction of the cost.
+
+    CPython's gauss arithmetic, inlined over the C generator: the same
+    float without the Python-level ``Random.__init__``/``seed`` and
+    ``gauss`` frames (``tests/hardware/test_pcm_write_path.py`` pins the
+    equality).
+    """
+    uniform = _seeded_generator(seed).random
+    x2pi = uniform() * _TWOPI
+    g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+    return mu + _cos(x2pi) * g2rad * sigma
+
 
 class EnduranceModel:
-    """Samples per-line write-endurance thresholds lazily.
+    """Samples per-line write-endurance thresholds.
 
     ``mean_writes`` is the average number of writes a line tolerates
     before its first cell sticks; ``cv`` is the coefficient of variation
@@ -60,17 +87,13 @@ class EnduranceModel:
         self.cv = cv
         self.followup_fraction = followup_fraction
         self._seed = seed
-        self._thresholds: dict = {}
 
     def first_failure_threshold(self, line_index: int) -> int:
-        """Writes until the line's first stuck cell (sampled once)."""
-        threshold = self._thresholds.get(line_index)
-        if threshold is None:
-            rng = random.Random((self._seed << 32) ^ line_index)
-            sampled = rng.gauss(self.mean_writes, self.cv * self.mean_writes)
-            threshold = max(1, int(sampled))
-            self._thresholds[line_index] = threshold
-        return threshold
+        """Writes until the line's first stuck cell: a pure draw from the
+        line's own generator, seeded ``(seed << 32) ^ line_index``."""
+        mean = self.mean_writes
+        sampled = seeded_gauss((self._seed << 32) ^ line_index, mean, self.cv * mean)
+        return max(1, int(sampled))
 
     def followup_interval(self) -> int:
         """Writes between successive stuck cells on a worn line."""
@@ -130,7 +153,21 @@ class PcmModule:
         self.wear_leveler = wear_leveler or NoWearLeveling()
         self._on_interrupt = on_interrupt or _silent_interrupt
         self._rng = random.Random(seed)
-        self._write_counts: dict = {}
+        # Per-line wear state, indexed by physical line over the
+        # leveler's physical span (None without an endurance model):
+        # the write count, and the count at which the line's next wear
+        # event fires. That slot starts at 0, so a line's first write
+        # draws its threshold; it then holds the first-failure
+        # threshold, and after each event the count of the next one.
+        if endurance is None:
+            self._counts: Optional[List[int]] = None
+            self._next_event: Optional[List[int]] = None
+        else:
+            span = self.wear_leveler.physical_lines(self.n_lines)
+            self._counts = [0] * span
+            self._next_event = [0] * span
+        #: Physical lines in the order of their first write.
+        self._touched: List[int] = []
         #: Physical lines whose ECC budget is exhausted.
         self._failed_physical: Set[int] = set()
         #: Logical lines software must avoid (post-clustering view).
@@ -144,6 +181,25 @@ class PcmModule:
         self.total_reads = 0
         #: Optional observability hook; see :mod:`repro.obs.trace`.
         self.tracer = None
+        self._bind()
+
+    def _bind(self) -> None:
+        """Bind the write path's translation once, from the wiring.
+
+        With no leveler and no clustering, logical lines are physical
+        lines and neither hook is called at all.
+        """
+        leveler = self.wear_leveler
+        if type(leveler) is NoWearLeveling:
+            self._on_write = None
+            self._translate = (
+                None if self.clustering is None else self.clustering.translate_line
+            )
+        else:
+            self._on_write = leveler.on_write
+            self._translate = (
+                leveler.translate if self.clustering is None else self._to_physical
+            )
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to the module and its sub-components."""
@@ -170,6 +226,8 @@ class PcmModule:
         state = self.__dict__.copy()
         state["tracer"] = None
         state["_on_interrupt"] = None
+        for bound in ("_on_write", "_translate"):
+            del state[bound]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -179,6 +237,7 @@ class PcmModule:
         # The failure buffer's interrupt line always points at its
         # owning module; re-solder it rather than persisting the cycle.
         self.failure_buffer._interrupt = self._raise_interrupt
+        self._bind()
 
     # ------------------------------------------------------------------
     @property
@@ -190,14 +249,12 @@ class PcmModule:
 
     def _check_range(self, address: int, size: int) -> None:
         if address < 0 or size <= 0 or address + size > self.size_bytes:
-            raise AddressError(
-                f"access [{address:#x}, +{size}) outside module of {self.size_bytes} bytes"
-            )
+            raise self._range_error(address, size)
 
-    def _covered_lines(self, address: int, size: int) -> range:
-        first = self.geometry.line_index(address)
-        last = self.geometry.line_index(address + size - 1)
-        return range(first, last + 1)
+    def _range_error(self, address: int, size: int) -> AddressError:
+        return AddressError(
+            f"access [{address:#x}, +{size}) outside module of {self.size_bytes} bytes"
+        )
 
     def _to_physical(self, logical_line: int) -> int:
         line = self.wear_leveler.translate(logical_line)
@@ -243,10 +300,16 @@ class PcmModule:
         this write: its data is parked in the failure buffer and the OS
         has been interrupted.
         """
-        self._check_range(address, size)
+        if address < 0 or size <= 0 or address + size > self.size_bytes:
+            raise self._range_error(address, size)
         self.total_writes += 1
+        line_bytes = self.geometry.pcm_line
+        first = address // line_bytes
+        last = (address + size - 1) // line_bytes
+        if first == last:
+            return self._write_line(first, data)
         ok = True
-        for logical_line in self._covered_lines(address, size):
+        for logical_line in range(first, last + 1):
             if not self._write_line(logical_line, data):
                 ok = False
         return ok
@@ -258,18 +321,36 @@ class PcmModule:
             # failing write so no data is ever silently lost.
             self._park_failed_write(logical_line, data)
             return False
-        self.wear_leveler.on_write(logical_line)
-        physical = self._to_physical(logical_line)
-        if self.endurance is None:
+        on_write = self._on_write
+        if on_write is not None:
+            on_write(logical_line)
+        counts = self._counts
+        if counts is None:
             return True
-        count = self._write_counts.get(physical, 0) + 1
-        self._write_counts[physical] = count
-        threshold = self.endurance.first_failure_threshold(physical)
-        if count < threshold:
+        translate = self._translate
+        physical = logical_line if translate is None else translate(logical_line)
+        count = counts[physical] + 1
+        counts[physical] = count
+        if count < self._next_event[physical]:
             return True
-        over = count - threshold
-        if over % self.endurance.followup_interval():
-            return True
+        return self._wear_event(logical_line, physical, count, data)
+
+    def _wear_event(
+        self, logical_line: int, physical: int, count: int, data: object
+    ) -> bool:
+        """The slow path: a line's first write, or a write that sticks a cell.
+
+        Cells stick at the threshold ``T`` and every follow-up interval
+        after it (``T``, ``T + i``, ``T + 2i``, ...).
+        """
+        next_event = self._next_event
+        if not next_event[physical]:
+            threshold = self.endurance.first_failure_threshold(physical)
+            next_event[physical] = threshold
+            self._touched.append(physical)
+            if count < threshold:
+                return True
+        next_event[physical] = count + self.endurance.followup_interval()
         # A new cell sticks on this write.
         bit = self._rng.randrange(self.geometry.pcm_line * 8)
         if self.ecc.record_stuck_bit(physical, bit):
@@ -320,11 +401,22 @@ class PcmModule:
         return pending
 
     def line_write_count(self, physical_line: int) -> int:
-        return self._write_counts.get(physical_line, 0)
+        counts = self._counts
+        if counts is None or not 0 <= physical_line < len(counts):
+            return 0
+        return counts[physical_line]
+
+    def write_counts(self) -> Dict[int, int]:
+        """Physical line -> write count for every line ever written, in
+        first-write order."""
+        counts = self._counts
+        return {line: counts[line] for line in self._touched}
 
     def write_count_histogram(self) -> List[int]:
-        """Write counts for every physical line ever written."""
-        return list(self._write_counts.values())
+        """Write counts for every physical line ever written, in
+        first-write order (spread statistics sum them in this order)."""
+        counts = self._counts
+        return [counts[line] for line in self._touched]
 
     def failed_fraction(self) -> float:
         return len(self._failed_logical) / self.n_lines

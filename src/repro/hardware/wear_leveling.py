@@ -24,6 +24,11 @@ class WearLeveler:
         """Notify the leveler of one line write (may trigger remapping)."""
         raise NotImplementedError
 
+    def physical_lines(self, n_lines: int) -> int:
+        """Size of the physical index space ``translate`` maps the
+        logical lines ``[0, n_lines)`` into."""
+        return n_lines
+
 
 class NoWearLeveling(WearLeveler):
     """Identity mapping: writes land where software puts them."""
@@ -78,9 +83,8 @@ class StartGapWearLeveler(WearLeveler):
     def translate(self, line_index: int) -> int:
         n = self.domain_lines
         domain, offset = divmod(line_index, n)
-        start, gap = self._domain_state(domain)
-        slot = (offset + start) % (n + 1)
-        if slot >= gap:
+        slot = (offset + self._starts.get(domain, 0)) % (n + 1)
+        if slot >= self._gaps.get(domain, n):
             slot = (slot + 1) % (n + 1)
         # Fold the virtual spare slot back into the domain's line range.
         return domain * n + (slot % n)
@@ -104,6 +108,10 @@ class StartGapWearLeveler(WearLeveler):
         self._starts[domain] = start
         self._gaps[domain] = gap
         self.gap_moves += 1
+
+    def physical_lines(self, n_lines: int) -> int:
+        # A partial last domain still folds over a whole domain's lines.
+        return -(-n_lines // self.domain_lines) * self.domain_lines
 
     def rotation_of(self, domain: int) -> int:
         """How far the domain's mapping has rotated (for tests)."""

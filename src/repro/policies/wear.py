@@ -168,6 +168,10 @@ class RegionRotationLeveler(WearLeveler):
             count = 0
         self._write_counts[region] = count
 
+    def physical_lines(self, n_lines: int) -> int:
+        # A partial last region still rotates over a whole region's lines.
+        return -(-n_lines // self.region_lines) * self.region_lines
+
 
 class SoftwearWearPolicy(WearLevelingPolicy):
     """SoftWear-style software-only in-memory wear leveling.

@@ -415,6 +415,18 @@ class VirtualMachine:
     # ------------------------------------------------------------------
     def _write_object(self, obj: SimObject) -> None:
         """Write the object's memory through to the PCM module."""
+        block, offset, size = obj.block, obj.offset, obj.size
+        if block is not None and offset is not None and size:
+            page_size = self.geometry.page
+            in_page = offset % page_size
+            if in_page + size <= page_size:
+                # One page: address it directly, no extents list.
+                page_index = block.pages[offset // page_size].index
+                if page_index >= 0:  # a borrowed DRAM page has no wear
+                    self.injector.pcm.write(
+                        page_index * page_size + in_page, size, data=obj.oid
+                    )
+                return
         for page_index, offset, length in self._physical_extents(obj):
             if page_index < 0:
                 continue  # borrowed DRAM page: no wear
@@ -423,7 +435,16 @@ class VirtualMachine:
             )
 
     def _write_slot(self, obj: SimObject) -> None:
-        """Write one word of the object (a field store)."""
+        """Write one word of the object (a field store): its first word."""
+        block, offset = obj.block, obj.offset
+        if block is not None and offset is not None and obj.size:
+            page_size = self.geometry.page
+            page_index = block.pages[offset // page_size].index
+            if page_index >= 0:
+                self.injector.pcm.write(
+                    page_index * page_size + offset % page_size, 8, data=obj.oid
+                )
+            return
         extents = self._physical_extents(obj)
         if not extents:
             return

@@ -48,7 +48,7 @@ from ..errors import SnapshotError
 #: First bytes of every snapshot file.
 SNAPSHOT_MAGIC = b"REPROSNAP\n"
 #: Envelope schema version; bump on any incompatible layout change.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _HEADER_LEN = struct.Struct(">I")
 
@@ -265,7 +265,7 @@ def machine_digest(vm) -> str:
             "reads": pcm.total_reads,
             "failed_logical": sorted(pcm._failed_logical),
             "failed_physical": sorted(pcm._failed_physical),
-            "write_counts": sorted(pcm._write_counts.items()),
+            "write_counts": sorted(pcm.write_counts().items()),
             "pending": list(pcm._pending_failures),
             "fbuf": [
                 (entry.address, entry.synthetic)

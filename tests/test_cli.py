@@ -313,6 +313,30 @@ class TestCommands:
         assert "iter" in out
 
 
+class TestLifetimeBadInput:
+    """Bad ``lifetime`` arguments exit 2 with one line, before any work."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--endurance", "0"], "--endurance must be a positive number"),
+            (["--endurance", "-3"], "--endurance must be a positive number"),
+            (["--endurance", "nan"], "--endurance must be a positive number"),
+            (["--workload", "nosuch"], "unknown workload 'nosuch'"),
+            (["--iterations", "-1"], "--iterations must be >= 1"),
+            (["--iterations", "0"], "--iterations must be >= 1"),
+        ],
+    )
+    def test_bad_value_exits_2(self, capsys, extra, message):
+        assert main(["lifetime"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert message in lines[0]
+        assert "Traceback" not in captured.err
+
+
 class TestTraceConflicts:
     """--trace cannot honour resume/retry intent: hard usage errors."""
 
