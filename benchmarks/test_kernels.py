@@ -23,6 +23,7 @@ from repro.hardware.pcm import EnduranceModel, PcmModule
 from repro.heap import line_table
 from repro.heap.block import sorted_defrag_candidates
 from repro.heap.heap_table import HeapTable
+from repro.heap.object_model import ObjectFactory
 from repro.osim.memory_manager import OsMemoryManager
 from repro.workloads.dacapo import DACAPO
 from tests.hardware.oracles import ReferencePcmModule, module_state
@@ -58,16 +59,23 @@ def test_fragmentation_index(benchmark, tables):
         ) == oracles.fragmentation_index_reference(table)
 
 
+def full_sweep(block):
+    """A sweep that cannot reuse the block's last one: a reassigned
+    object list always takes the full rebuild."""
+    block.objects = list(block.objects)
+    return block.rebuild_line_marks(EPOCH)
+
+
 def test_sweep_small_objects(benchmark):
     block = build_synthetic_block(Geometry(), seed=0)
-    benchmark(lambda: block.rebuild_line_marks(EPOCH))
+    benchmark(lambda: full_sweep(block))
 
 
 def test_sweep_multi_line_objects(benchmark):
     block = build_synthetic_block(
         Geometry(immix_line=64), seed=0, object_sizes=MULTI_LINE_OBJECT_SIZES
     )
-    benchmark(lambda: block.rebuild_line_marks(EPOCH))
+    benchmark(lambda: full_sweep(block))
 
 
 def test_cached_free_runs(benchmark):
@@ -111,7 +119,58 @@ def test_heap_scan(benchmark):
 
 def test_heap_sweep_shared_table(benchmark):
     _, blocks = shared_heap(8)
-    benchmark(lambda: [block.rebuild_line_marks(EPOCH) for block in blocks])
+    benchmark(lambda: [full_sweep(block) for block in blocks])
+
+
+#: Sweeps an appending heap can take: the warm-up call plus up to
+#: ``measure(1000)``'s iterations at the row's 1/10 share.
+APPEND_CALLS = 128
+#: Sub-line sizes for appended objects, so every block has room.
+APPEND_SIZES = SMALL_OBJECT_SIZES[:5]
+
+
+def appending_heap(seed, n_blocks=8, calls=APPEND_CALLS):
+    """Eight swept blocks 30% full, and a step that appends one marked
+    sub-line object to each (bump-placed into its free runs) and sweeps
+    it.
+
+    Returns ``(table, blocks, step)``; ``step(sweep)`` returns the
+    sweeps' counts. Twin heaps built from one seed are identical.
+    """
+    geometry = Geometry()
+    line = geometry.immix_line
+    table = HeapTable(geometry)
+    factory = ObjectFactory()
+    rng = random.Random(seed)
+    blocks, plans = [], []
+    for index in range(n_blocks):
+        block = build_synthetic_block(
+            geometry, seed + index, fill_fraction=0.3, table=table, virtual_index=index
+        )
+        placements = []
+        for start, length in block.free_runs():
+            cursor, limit = start * line, (start + length) * line
+            while len(placements) < calls:
+                obj = factory.make(
+                    rng.choice(APPEND_SIZES), pinned=rng.random() < 0.05
+                )
+                if cursor + obj.size > limit:
+                    break
+                obj.mark = EPOCH
+                placements.append((obj, cursor))
+                cursor += obj.size
+        assert len(placements) == calls
+        blocks.append(block)
+        plans.append(iter(placements))
+
+    def step(sweep):
+        counts = []
+        for block, plan in zip(blocks, plans):
+            block.place(*next(plan))
+            counts.append(sweep(block))
+        return counts
+
+    return table, blocks, step
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +255,7 @@ def kernel_cases(seed=0):
     # Sweep over twin blocks, full state compared. Sub-line objects are
     # dominated by the per-object loop both share; multi-line objects at
     # 64 B lines are where the vectorized per-line work pays.
-    fast_sweep = lambda block: block.rebuild_line_marks(EPOCH)  # noqa: E731
+    fast_sweep = full_sweep
     oracle_sweep = lambda block: oracles.rebuild_line_marks_reference(  # noqa: E731
         block, EPOCH
     )
@@ -301,6 +360,44 @@ def kernel_cases(seed=0):
         [_sweep_state(b, fast_sweep) for b in fast_heap]
         == [_sweep_state(b, oracle_sweep) for b in oracle_heap]
         and bytes(fast_table.lines) == bytes(oracle_table.lines),
+    )
+
+    # A sweep of blocks nobody touched since their last sweep: the
+    # recorded counts come back without re-deriving a line.
+    fast_table, fast_heap = shared_heap(8, seed)
+    oracle_table, oracle_heap = shared_heap(8, seed)
+    resweep = lambda block: block.rebuild_line_marks(EPOCH)  # noqa: E731
+    cases["rebuild_line_marks (unchanged re-sweep)"] = (
+        lambda: [resweep(b) for b in fast_heap],
+        lambda: [oracle_sweep(b) for b in oracle_heap],
+        1 / 4,
+        [_sweep_state(b, resweep) for b in fast_heap]
+        == [_sweep_state(b, oracle_sweep) for b in oracle_heap]
+        and bytes(fast_table.lines) == bytes(oracle_table.lines),
+    )
+
+    # A sweep of blocks that were only appended to: the new object's
+    # span merges into the recorded marks. Identity runs twin heaps
+    # through a dozen append-and-sweep steps, compared after each.
+    fast_table, fast_heap, fast_step = appending_heap(seed)
+    oracle_table, oracle_heap, oracle_step = appending_heap(seed)
+    identical = all(
+        fast_step(resweep) == oracle_step(oracle_sweep)
+        and bytes(fast_table.lines) == bytes(oracle_table.lines)
+        and [
+            ([o.oid for o in f.objects], f.mark_conflicts)
+            for f in fast_heap
+        ]
+        == [([o.oid for o in r.objects], r.mark_conflicts) for r in oracle_heap]
+        for _ in range(12)
+    )
+    _, _, fast_step = appending_heap(seed)
+    _, _, oracle_step = appending_heap(seed)
+    cases["rebuild_line_marks (appended suffix)"] = (
+        lambda: fast_step(resweep),
+        lambda: oracle_step(oracle_sweep),
+        1 / 10,
+        identical,
     )
 
     # Trace size draws: the raw-getrandbits routine against randint,
@@ -410,6 +507,10 @@ def test_kernel_speedups_and_identity():
         "heap_table line counts (heap-scan)": 8.0,
         "heap_table.slots_with_free_lines": 1.5,
         "heap sweep (shared table, 8 blocks)": 2.0,
+        # Half the lowest of several local measurements (56-80x and
+        # 32-33x at 1000 base iterations).
+        "rebuild_line_marks (unchanged re-sweep)": 28.0,
+        "rebuild_line_marks (appended suffix)": 16.0,
         "static-failure absorption (10%)": 2.0,
         "static-failure absorption (50%)": 4.0,
         "workloads.draw_size (vs randint)": 1.25,

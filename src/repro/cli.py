@@ -1230,17 +1230,29 @@ def cmd_trace(args) -> int:
     return 0 if result.completed and not problems else 1
 
 
+def _check_problem(args) -> Optional[str]:
+    """The first bad ``check`` argument, as a message, or None."""
+    if args.seed < 0:
+        return f"--seed must be >= 0, got {args.seed}"
+    if not 0 < args.scale < math.inf:
+        return f"--scale must be a positive number, got {args.scale}"
+    available = [spec.name for spec in DACAPO]
+    unknown = [name for name in args.workloads or () if name not in available]
+    if unknown:
+        return (
+            f"unknown workloads: {', '.join(unknown)}; "
+            f"available: {', '.join(available)}"
+        )
+    return None
+
+
 def cmd_check(args) -> int:
     from .check import run_campaign
-    from .workloads.dacapo import DACAPO
 
-    if args.workloads:
-        available = [spec.name for spec in DACAPO]
-        unknown = [name for name in args.workloads if name not in available]
-        if unknown:
-            obslog.warn(f"unknown workloads: {', '.join(unknown)}")
-            obslog.warn(f"available: {', '.join(available)}")
-            return 2
+    problem = _check_problem(args)
+    if problem is not None:
+        obslog.warn(f"check: {problem}")
+        return 2
     result = run_campaign(
         seed=args.seed,
         workloads=args.workloads,

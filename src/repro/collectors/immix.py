@@ -29,7 +29,7 @@ from ..hardware.geometry import Geometry
 from ..heap.block import Block
 from ..heap.heap_table import HeapTable
 from ..heap.large_object_space import LargeObjectSpace
-from ..heap.object_model import SimObject, reachable_from
+from ..heap.object_model import SimObject, mark_live
 from ..heap.page_supply import PageSupply
 from ..obs.trace import maybe_span
 from ..units import KiB
@@ -523,13 +523,10 @@ class ImmixCollector:
             epoch = self._epoch
             free_before = self._free_bytes_estimate()
             with maybe_span(tr, "gc.mark", phase="gc.mark"):
-                live = reachable_from(roots, epoch)
-                live_bytes = sum(obj.size for obj in live)
-                self.stats.objects_traced += len(live)
+                live_objects, live_bytes = mark_live(roots, epoch)
+                self.stats.objects_traced += live_objects
                 self.stats.bytes_traced += live_bytes
                 self.stats.full_gc_live_bytes.append(live_bytes)
-                for obj in live:
-                    obj.old = True
             with maybe_span(tr, "gc.sweep", phase="gc.sweep"):
                 self._sweep_blocks(epoch, keep_old=False)
                 self._sweep_los(epoch, keep_old=False)
@@ -551,7 +548,7 @@ class ImmixCollector:
             return {
                 "kind": "full",
                 "live_bytes": live_bytes,
-                "live_objects": len(live),
+                "live_objects": live_objects,
                 "reclaimed_bytes": max(0, self._free_bytes_estimate() - free_before),
             }
 
@@ -716,30 +713,62 @@ class ImmixCollector:
     def _place_copy(self, obj: SimObject) -> bool:
         """Re-place a surviving object during evacuation/compaction.
 
-        Uses the regular allocation machinery but does not count the
+        Tries the bump fast path (inlined as in :meth:`allocate`), then
+        the regular allocation machinery, but does not count the
         placement as a fresh mutator allocation. Copies run inside a
         collection, so the perfect fallback is allowed.
         """
+        size = obj.size
+        state = self._state
+        if state is not None and state.cursor + size <= state.limit:
+            block = state.block
+            cursor = state.cursor
+            obj.block = block
+            obj.offset = cursor
+            obj.los_placement = None
+            block.objects.append(obj)
+            block.allocated_since_gc = True
+            block._obj_gen += 1
+            state.cursor = cursor + size
+            stats = self.stats
+            stats.fast_path_allocs += 1
+            stats.run_locality_units += size / state.run_lines
+            return True
         return self._place_in_lines(obj, allow_perfect=True)
 
     def _evacuate_flagged(self, epoch: int) -> None:
+        """Copy every unpinned object out of each flagged block.
+
+        Copies never land in a flagged block (the allocation state was
+        rebuilt without them), so each block's new object list is built
+        once: its pinned objects in order, then the objects whose copy
+        failed, restored at their old offsets in the order they failed.
+        """
         flagged = [block for block in self.blocks if block.evacuate]
+        stats = self.stats
         for block in flagged:
-            for obj in list(block.objects):
+            kept: List[SimObject] = []
+            aborted: List[SimObject] = []
+            for obj in block.objects:
                 if obj.pinned:
+                    kept.append(obj)
                     continue
                 old_offset = obj.offset
-                block.remove_object(obj)
                 obj.block = None
                 obj.offset = None
                 if self._place_copy(obj):
-                    self.stats.objects_copied += 1
-                    self.stats.bytes_copied += obj.size
+                    stats.objects_copied += 1
+                    stats.bytes_copied += obj.size
                     obj.moved_count += 1
                 else:
-                    block.place(obj, old_offset)
+                    obj.block = block
+                    obj.offset = old_offset
+                    aborted.append(obj)
                     block.aborted_evacuations.add(obj.oid)
-                    self.stats.evacuations_aborted += 1
+                    stats.evacuations_aborted += 1
+            kept.extend(aborted)
+            block.objects = kept
+            block.touch_objects()
             block.evacuate = False
             block.rebuild_line_marks(epoch, keep_old=True)
             if not block.objects:
@@ -748,8 +777,7 @@ class ImmixCollector:
     def _copy_survivors(self, survivors: List[SimObject], epoch: int) -> None:
         """Opportunistically compact nursery survivors (sticky Immix).
 
-        Each copy first tries the bump fast path (inlined as in
-        :meth:`allocate`), then :meth:`_place_copy`. Removal from the
+        Each copy goes through :meth:`_place_copy`. Removal from the
         source block's object list is deferred and batched: placement
         never consults source object lists (free runs come from line
         marks, which removal does not touch), and a moved object's
@@ -767,6 +795,7 @@ class ImmixCollector:
         """
         touched_sources: Dict[Block, None] = {}
         stats = self.stats
+        place_copy = self._place_copy
         for obj in survivors:
             if obj.pinned or obj.is_large or obj.block is None:
                 continue
@@ -774,24 +803,7 @@ class ImmixCollector:
             old_offset = obj.offset
             obj.block = None
             obj.offset = None
-            size = obj.size
-            state = self._state
-            if state is not None and state.cursor + size <= state.limit:
-                block = state.block
-                cursor = state.cursor
-                obj.block = block
-                obj.offset = cursor
-                obj.los_placement = None
-                block.objects.append(obj)
-                block.allocated_since_gc = True
-                block._obj_gen += 1
-                state.cursor = cursor + size
-                stats.fast_path_allocs += 1
-                stats.run_locality_units += size / state.run_lines
-                placed = True
-            else:
-                placed = self._place_copy(obj)
-            if placed:
+            if place_copy(obj):
                 if obj.block is source:
                     # The copy landed back in its own block: the list
                     # now holds the object twice (stale slot + fresh
@@ -800,7 +812,7 @@ class ImmixCollector:
                     source.objects.remove(obj)
                     source.touch_objects()
                 stats.objects_copied += 1
-                stats.bytes_copied += size
+                stats.bytes_copied += obj.size
                 obj.moved_count += 1
                 touched_sources[source] = None
             else:

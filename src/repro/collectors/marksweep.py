@@ -23,7 +23,7 @@ from ..hardware.geometry import Geometry
 from ..heap.block import Block
 from ..heap.heap_table import HeapTable
 from ..heap.large_object_space import LargeObjectSpace
-from ..heap.object_model import SimObject, reachable_from
+from ..heap.object_model import SimObject, mark_live
 from ..heap.page_supply import PageSupply
 from ..obs.trace import maybe_span
 from ..units import KiB
@@ -194,13 +194,10 @@ class MarkSweepCollector:
             self._epoch += 1
             epoch = self._epoch
             with maybe_span(tr, "gc.mark", phase="gc.mark"):
-                live = reachable_from(roots, epoch)
-                live_bytes = sum(obj.size for obj in live)
-                self.stats.objects_traced += len(live)
+                live_objects, live_bytes = mark_live(roots, epoch)
+                self.stats.objects_traced += live_objects
                 self.stats.bytes_traced += live_bytes
                 self.stats.full_gc_live_bytes.append(live_bytes)
-                for obj in live:
-                    obj.old = True
             with maybe_span(tr, "gc.sweep", phase="gc.sweep"):
                 self._sweep(epoch, keep_old=False)
                 self.stats.los_pages_reclaimed += len(
@@ -211,7 +208,7 @@ class MarkSweepCollector:
             return {
                 "kind": "full",
                 "live_bytes": live_bytes,
-                "live_objects": len(live),
+                "live_objects": live_objects,
             }
 
     def collect_nursery(self, roots: Sequence[SimObject]) -> dict:

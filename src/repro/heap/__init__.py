@@ -25,7 +25,7 @@ from .object_model import (
     ObjectFactory,
     SimObject,
     aligned_size,
-    reachable_from,
+    mark_live,
 )
 from .page_supply import HeapPage, PageSupply
 
@@ -53,7 +53,7 @@ __all__ = [
     "ObjectFactory",
     "SimObject",
     "aligned_size",
-    "reachable_from",
+    "mark_live",
     "HeapPage",
     "PageSupply",
 ]

@@ -20,11 +20,17 @@ Hot-path accounting is cached behind two generation counters:
 * ``_obj_gen`` advances whenever the object list changes; it guards a
   sorted index over object extents so :meth:`objects_overlapping_line`
   is a bisect instead of a full scan.
+
+The sweep keys its own cache on both counters: each block remembers its
+last sweep (survivor list, both generations, survivor count, live line
+count), so a block nobody touched since is not re-derived, and a block
+that was only appended to merges just the new objects' spans.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..hardware.geometry import Geometry
@@ -33,6 +39,13 @@ from .heap_table import HeapTable, LineSegment
 from .line_table import FAILED, LIVE, LIVE_PINNED, FreeRunSummary
 from .object_model import SimObject
 from .page_supply import HeapPage
+
+#: Byte maps that merge one span into a segment's line marks: a line
+#: takes the span's state unless it already holds a higher one.
+_MERGE_LIVE = bytes([LIVE, LIVE, LIVE_PINNED, FAILED]) + bytes(range(4, 256))
+_MERGE_PINNED = bytes([LIVE_PINNED, LIVE_PINNED, LIVE_PINNED, FAILED]) + bytes(
+    range(4, 256)
+)
 
 
 class Block:
@@ -60,6 +73,11 @@ class Block:
         "_extent_objs",
         "_extent_starts",
         "_extent_gen",
+        "_swept_objects",
+        "_swept_obj_gen",
+        "_swept_line_gen",
+        "_swept_count",
+        "_swept_live_lines",
     )
 
     def __init__(
@@ -108,6 +126,13 @@ class Block:
         self._extent_objs: List[SimObject] = []
         self._extent_starts: List[int] = []
         self._extent_gen = -1
+        #: The last sweep's survivor list and what it saw; see
+        #: :meth:`rebuild_line_marks`.
+        self._swept_objects: Optional[List[SimObject]] = None
+        self._swept_obj_gen = -1
+        self._swept_line_gen = -1
+        self._swept_count = 0
+        self._swept_live_lines = 0
         self._seed_failed_pages_bulk(pages)
 
     # ------------------------------------------------------------------
@@ -238,37 +263,85 @@ class Block:
 
         The final per-line state follows the precedence FAILED >
         LIVE_PINNED > LIVE > FREE, which is independent of object
-        visiting order — the kernel exploits that by slice-
-        assigning unpinned spans first, pinned spans second, and
-        re-stamping FAILED lines last, instead of resolving precedence
-        per line. Conflict recording is unchanged: a conflict is exactly
-        a survivor's span crossing a line in ``failed_lines``, reported
-        in object order with ascending lines. The re-stamp notes whether
-        any failed line was already covered by a survivor span; only
-        then are survivors searched for conflicts.
+        visiting order (:meth:`_mark_spans`). Conflict recording is
+        unchanged: a conflict is exactly a survivor's span crossing a
+        line in ``failed_lines``, reported in object order with
+        ascending lines, and survivors are searched for conflicts only
+        when some span covers a FAILED line.
+
+        Each sweep records what it produced, and the next one re-derives
+        only what changed since. If ``objects`` is still the recorded
+        list, no line state changed, and the object generation advanced
+        exactly as far as the list grew (a removal advances it but
+        shrinks the list), the recorded survivors are a prefix of the
+        list and the segment holds their marks. When that whole prefix
+        still survives, an unchanged block returns the recorded counts
+        and an appended one merges just the surviving suffix. Anything
+        else is the full rebuild.
+        """
+        objects = self.objects
+        if objects is self._swept_objects and self._line_gen == self._swept_line_gen:
+            count = self._swept_count
+            appended = self._obj_gen - self._swept_obj_gen
+            if appended == len(objects) - count:
+                for obj in islice(objects, count):
+                    if obj.mark != epoch and not (keep_old and obj.old):
+                        break
+                else:
+                    if not appended:
+                        self.allocated_since_gc = False
+                        return self._swept_live_lines, self.n_lines
+                    survivors = [
+                        obj
+                        for obj in islice(objects, count, None)
+                        if obj.mark == epoch or (keep_old and obj.old)
+                    ]
+                    if len(survivors) != appended:
+                        objects[count:] = survivors
+                    if self._mark_spans(survivors):
+                        self.mark_conflicts = (
+                            self.mark_conflicts + self._failed_line_conflicts(survivors)
+                        )
+                    return self._finish_sweep()
+        states = self.table.lines
+        base = self._base
+        states[base : base + self.n_lines] = bytes(self.n_lines)
+        for line in self.failed_lines:
+            states[base + line] = FAILED
+        survivors = [obj for obj in objects if obj.mark == epoch or (keep_old and obj.old)]
+        # A FAILED mark is hardware truth; a survivor overlapping it
+        # (pinned, or an aborted evacuation) must never mask it as LIVE
+        # — that would let a later sweep hand the failed line back to
+        # the allocator. Record the conflict for the auditor.
+        covered = self._mark_spans(survivors)
+        self.mark_conflicts = self._failed_line_conflicts(survivors) if covered else []
+        self.objects = survivors
+        return self._finish_sweep()
+
+    def _mark_spans(self, survivors: List[SimObject]) -> bool:
+        """Merge the survivors' line spans into the segment; True if a
+        span covers a FAILED line.
+
+        A line takes a span's state only over a lower one (FREE < LIVE <
+        LIVE_PINNED < FAILED: :data:`_MERGE_LIVE`, :data:`_MERGE_PINNED`),
+        so the result is the precedence whatever the order. Adjacent
+        unpinned spans merge into one translate: allocation order tracks
+        offset order within a block, so consecutive survivors usually
+        touch consecutive lines.
         """
         states = self.table.lines
         base = self._base
-        n = self.n_lines
-        states[base : base + n] = bytes(n)
         line_size = self.geometry.immix_line
-        survivors: List[SimObject] = []
-        pinned_spans: List[Tuple[int, int]] = []
-        survive = survivors.append
-        # Adjacent live spans merge into one slice-assign: allocation
-        # order tracks offset order within a block, so consecutive
-        # survivors usually touch consecutive lines. Writes are all
-        # LIVE, so batching them cannot change the final table.
+        covered = False
         span_first = span_stop = -1
-        for obj in self.objects:
-            if obj.mark != epoch and not (keep_old and obj.old):
-                continue
-            survive(obj)
+        for obj in survivors:
             offset = obj.offset
-            first = offset // line_size
-            stop = (offset + obj.size - 1) // line_size + 1
+            first = base + offset // line_size
+            stop = base + (offset + obj.size - 1) // line_size + 1
             if obj.pinned:
-                pinned_spans.append((first, stop))
+                span = states[first:stop]
+                states[first:stop] = span.translate(_MERGE_PINNED)
+                covered = covered or FAILED in span
             elif first <= span_stop and span_first <= stop:
                 if first < span_first:
                     span_first = first
@@ -276,37 +349,33 @@ class Block:
                     span_stop = stop
             else:
                 if span_first >= 0:
-                    states[base + span_first : base + span_stop] = b"\x01" * (
-                        span_stop - span_first
-                    )
+                    span = states[span_first:span_stop]
+                    states[span_first:span_stop] = span.translate(_MERGE_LIVE)
+                    covered = covered or FAILED in span
                 span_first = first
                 span_stop = stop
         if span_first >= 0:
-            states[base + span_first : base + span_stop] = b"\x01" * (
-                span_stop - span_first
-            )
-        for first, stop in pinned_spans:
-            if stop - first == 1:
-                states[base + first] = 2
-            else:
-                states[base + first : base + stop] = b"\x02" * (stop - first)
-        covered = False
-        for line in self.failed_lines:
-            if states[base + line]:
-                covered = True
-            states[base + line] = FAILED
-        # A FAILED mark is hardware truth; a survivor overlapping it
-        # (pinned, or an aborted evacuation) must never mask it as LIVE
-        # — that would let a later sweep hand the failed line back to
-        # the allocator. Record the conflict for the auditor.
-        self.mark_conflicts = self._failed_line_conflicts(survivors) if covered else []
-        self.objects = survivors
+            span = states[span_first:span_stop]
+            states[span_first:span_stop] = span.translate(_MERGE_LIVE)
+            covered = covered or FAILED in span
+        return covered
+
+    def _finish_sweep(self) -> Tuple[int, int]:
+        """Invalidate the caches a sweep changes and record the sweep."""
         self.allocated_since_gc = False
         self.touch_lines()
         self.touch_objects()
+        states = self.table.lines
+        base = self._base
+        n = self.n_lines
         live_lines = states.count(LIVE, base, base + n) + states.count(
             LIVE_PINNED, base, base + n
         )
+        self._swept_objects = self.objects
+        self._swept_obj_gen = self._obj_gen
+        self._swept_line_gen = self._line_gen
+        self._swept_count = len(self.objects)
+        self._swept_live_lines = live_lines
         return live_lines, n
 
     def _failed_line_conflicts(

@@ -9,7 +9,7 @@ objects on failed lines", "never move pinned objects" — is checkable.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 #: Allocation alignment in bytes (object sizes round up to this).
 ALIGNMENT = 8
@@ -115,22 +115,37 @@ class ObjectFactory:
         return obj
 
 
-def reachable_from(roots: Iterable[SimObject], epoch: int) -> List[SimObject]:
-    """Transitive closure over the reference graph.
+def mark_live(roots: Iterable[SimObject], epoch: int) -> Tuple[int, int]:
+    """The full-heap trace: mark, count and age in one pass.
 
-    Marks every reached object with ``epoch`` and returns them in trace
-    order. Objects already carrying ``epoch`` are treated as visited, so
-    a collector advances its epoch once per trace.
+    Marks every object reachable from ``roots`` with ``epoch``, sets its
+    sticky ``old`` bit and returns ``(objects, bytes)`` reached. Objects
+    already carrying ``epoch`` are treated as visited, so a collector
+    advances its epoch once per trace. A child with no references is
+    accounted where it is found rather than pushed; the totals are
+    integer sums, so the visiting order cannot change them.
     """
-    stack = [obj for obj in roots if obj.mark != epoch]
-    for obj in stack:
-        obj.mark = epoch
-    reached: List[SimObject] = []
+    stack = []
+    push = stack.append
+    for obj in roots:
+        if obj.mark != epoch:
+            obj.mark = epoch
+            push(obj)
+    pop = stack.pop
+    count = 0
+    nbytes = 0
     while stack:
-        obj = stack.pop()
-        reached.append(obj)
+        obj = pop()
+        count += 1
+        nbytes += obj.size
+        obj.old = True
         for child in obj.refs:
             if child.mark != epoch:
                 child.mark = epoch
-                stack.append(child)
-    return reached
+                if child.refs:
+                    push(child)
+                else:
+                    count += 1
+                    nbytes += child.size
+                    child.old = True
+    return count, nbytes

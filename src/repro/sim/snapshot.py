@@ -48,7 +48,7 @@ from ..errors import SnapshotError
 #: First bytes of every snapshot file.
 SNAPSHOT_MAGIC = b"REPROSNAP\n"
 #: Envelope schema version; bump on any incompatible layout change.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _HEADER_LEN = struct.Struct(">I")
 

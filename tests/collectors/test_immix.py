@@ -244,6 +244,26 @@ class TestDynamicFailures:
         assert obj.moved_count == 0
         assert collector.stats.evacuations_aborted == 0  # pinned skipped, not aborted
 
+    def test_aborted_evacuations_follow_the_pinned_objects_in_order(self):
+        # One block and no free pages: every copy fails, so each
+        # unpinned object is restored in place, after the pinned ones.
+        collector, factory = make_collector(n_blocks=1)
+        objs = [factory.make(64, pinned=i in (0, 3, 5)) for i in range(6)]
+        for obj in objs:
+            assert collector.allocate(obj)
+        block = objs[0].block
+        offsets = [obj.offset for obj in objs]
+        assert collector.note_dynamic_failure(block.pages[0].index, 0)
+        collector.collect_full(objs)
+        pinned, unpinned = [objs[i] for i in (0, 3, 5)], [objs[i] for i in (1, 2, 4)]
+        assert block.objects == pinned + unpinned
+        assert [obj.offset for obj in objs] == offsets
+        assert block.aborted_evacuations == {obj.oid for obj in unpinned}
+        assert collector.stats.evacuations_aborted == 3
+        assert not block.evacuate
+        # Line 0 failed under o0..o3: the pinned ones, then the restored.
+        assert block.mark_conflicts == [(objs[i].oid, 0) for i in (0, 3, 1, 2)]
+
     def test_los_page_failure_reallocates_object(self):
         collector, factory = make_collector()
         big = factory.make(20 * 1024)

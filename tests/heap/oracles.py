@@ -61,6 +61,38 @@ def fragmentation_index_reference(line_states) -> float:
 
 
 # ----------------------------------------------------------------------
+# Objects
+# ----------------------------------------------------------------------
+def reachable_from(roots: Iterable[SimObject], epoch: int) -> List[SimObject]:
+    """Transitive closure over the reference graph (the oracle for
+    :func:`repro.heap.object_model.mark_live`).
+
+    Marks every reached object with ``epoch`` and returns them in trace
+    order. Objects already carrying ``epoch`` are treated as visited.
+    """
+    stack = [obj for obj in roots if obj.mark != epoch]
+    for obj in stack:
+        obj.mark = epoch
+    reached: List[SimObject] = []
+    while stack:
+        obj = stack.pop()
+        reached.append(obj)
+        for child in obj.refs:
+            if child.mark != epoch:
+                child.mark = epoch
+                stack.append(child)
+    return reached
+
+
+def mark_live_reference(roots: Iterable[SimObject], epoch: int) -> Tuple[int, int]:
+    """The two-pass full trace: close over the graph, then sum and age."""
+    live = reachable_from(roots, epoch)
+    for obj in live:
+        obj.old = True
+    return len(live), sum(obj.size for obj in live)
+
+
+# ----------------------------------------------------------------------
 # Blocks
 # ----------------------------------------------------------------------
 def rebuild_line_marks_reference(

@@ -10,8 +10,9 @@ from repro.heap.object_model import (
     ObjectFactory,
     SimObject,
     aligned_size,
-    reachable_from,
 )
+
+from .oracles import reachable_from
 
 
 class TestAlignedSize:

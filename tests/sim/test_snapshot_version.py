@@ -1,9 +1,10 @@
 """Snapshot envelope versions: a build reads only its own version.
 
 Version 2 changed the pickled ``PcmModule`` wear state (per-line
-write-count and next-event lists instead of dicts), so a version-1
+write-count and next-event lists instead of dicts), and version 3 the
+pickled ``Block`` (each block records its last sweep). An older
 snapshot must be refused with the envelope's clear error rather than
-unpickled into a module that would crash or silently diverge.
+unpickled into a machine that would crash or silently diverge.
 """
 
 import json
@@ -31,11 +32,20 @@ def with_version(data: bytes, version: int) -> bytes:
     return SNAPSHOT_MAGIC + _HEADER_LEN.pack(len(encoded)) + encoded + payload
 
 
-def test_version_1_envelope_is_refused(tmp_path):
+def assert_refused(tmp_path, version):
+    """Load a copy of a current snapshot relabelled ``version``."""
     data = MachineSnapshot.capture({"wear": [1, 2]}, kind="lifetime").to_bytes()
     assert MachineSnapshot.from_bytes(with_version(data, SNAPSHOT_VERSION))
     old = tmp_path / "old.snap"
-    old.write_bytes(with_version(data, 1))
-    expected = r"unknown snapshot version 1 \(this build reads version 2\)"
+    old.write_bytes(with_version(data, version))
+    expected = rf"unknown snapshot version {version} \(this build reads version 3\)"
     with pytest.raises(SnapshotError, match=expected):
         MachineSnapshot.load(str(old))
+
+
+def test_version_1_envelope_is_refused(tmp_path):
+    assert_refused(tmp_path, 1)
+
+
+def test_version_2_envelope_is_refused(tmp_path):
+    assert_refused(tmp_path, 2)

@@ -337,6 +337,30 @@ class TestLifetimeBadInput:
         assert "Traceback" not in captured.err
 
 
+class TestCheckBadInput:
+    """Bad ``check`` arguments exit 2 with one line, before any work."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--seed", "-5"], "--seed must be >= 0, got -5"),
+            (["--scale", "0"], "--scale must be a positive number"),
+            (["--scale", "-0.5"], "--scale must be a positive number"),
+            (["--scale", "inf"], "--scale must be a positive number"),
+            (["--scale", "nan"], "--scale must be a positive number"),
+            (["--workloads", "luindex", "nosuch"], "unknown workloads: nosuch;"),
+        ],
+    )
+    def test_bad_value_exits_2(self, capsys, extra, message):
+        assert main(["check"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert message in lines[0]
+        assert "Traceback" not in captured.err
+
+
 class TestTraceConflicts:
     """--trace cannot honour resume/retry intent: hard usage errors."""
 
