@@ -173,6 +173,33 @@ def _build_vm(
     return vm
 
 
+def _campaign_run(
+    name: str, w_index: int, seed: int, scale: float, level: str
+) -> CampaignRun:
+    """The campaign's ``w_index``-th run; its VM dies with this frame."""
+    spec = _campaign_spec(name, scale)
+    scenario_label, static_rate, region_pages = SCENARIOS[
+        (seed + w_index) % len(SCENARIOS)
+    ]
+    geometry = Geometry(region_pages=region_pages or 2)
+    run_seed = seed * 1000 + w_index
+    vm = _build_vm(spec, geometry, static_rate, region_pages, run_seed, level)
+    TraceDriver(spec, run_seed).run(vm)
+    vm.auditor.final()
+    return CampaignRun(
+        workload=name,
+        scenario=scenario_label,
+        seed=run_seed,
+        heap_bytes=vm.config.heap_bytes,
+        audits=vm.auditor.audits_run,
+        dynamic_failures=vm.stats.dynamic_failed_lines,
+        duplicate_failures=vm.stats.duplicate_dynamic_failures,
+        upcalls=vm.os.upcalls,
+        collections=vm.stats.collections,
+        violations=list(vm.auditor.violations),
+    )
+
+
 def run_campaign(
     seed: int = 0,
     workloads: Optional[Sequence[str]] = None,
@@ -180,30 +207,13 @@ def run_campaign(
     level: str = "paranoid",
 ) -> CampaignResult:
     """Run the audit campaign; deterministic for a given seed."""
+    # Lazy for the same reason as in _build_vm: sim.machine imports
+    # runtime.vm, which imports check.audit.
+    from ..sim.machine import machine_scope
+
+    run_one = machine_scope(_campaign_run)
     names = list(workloads) if workloads else list(DEFAULT_WORKLOADS)
     result = CampaignResult()
     for w_index, name in enumerate(names):
-        spec = _campaign_spec(name, scale)
-        scenario_label, static_rate, region_pages = SCENARIOS[
-            (seed + w_index) % len(SCENARIOS)
-        ]
-        geometry = Geometry(region_pages=region_pages or 2)
-        run_seed = seed * 1000 + w_index
-        vm = _build_vm(spec, geometry, static_rate, region_pages, run_seed, level)
-        TraceDriver(spec, run_seed).run(vm)
-        vm.auditor.final()
-        result.runs.append(
-            CampaignRun(
-                workload=name,
-                scenario=scenario_label,
-                seed=run_seed,
-                heap_bytes=vm.config.heap_bytes,
-                audits=vm.auditor.audits_run,
-                dynamic_failures=vm.stats.dynamic_failed_lines,
-                duplicate_failures=vm.stats.duplicate_dynamic_failures,
-                upcalls=vm.os.upcalls,
-                collections=vm.stats.collections,
-                violations=list(vm.auditor.violations),
-            )
-        )
+        result.runs.append(run_one(name, w_index, seed, scale, level))
     return result

@@ -1087,7 +1087,31 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _unknown_workload(name: str) -> str:
+    return f"unknown workload {name!r}; available: {', '.join(sorted(BY_NAME))}"
+
+
+def _run_problem(args) -> Optional[str]:
+    """The first bad run-shape argument of ``bench`` or ``trace``, or None."""
+    if args.workload not in BY_NAME:
+        return _unknown_workload(args.workload)
+    if not 0 <= args.rate <= 1:
+        return f"--rate must be in [0, 1], got {args.rate}"
+    if not 0 < args.heap < math.inf:
+        return f"--heap must be a positive multiplier, got {args.heap}"
+    if not 0 < args.scale < math.inf:
+        return f"--scale must be a positive number, got {args.scale}"
+    if args.clustering < 0:
+        return f"--clustering must be >= 0 pages, got {args.clustering}"
+    return None
+
+
 def cmd_bench(args) -> int:
+    # A resumed run takes its shape from the snapshot, not the flags.
+    problem = None if args.resume_from else _run_problem(args)
+    if problem is not None:
+        obslog.warn(f"bench: {problem}")
+        return 2
     registry = None
     tracer = None
     if args.trace or args.metrics_out:
@@ -1178,10 +1202,11 @@ def cmd_bench(args) -> int:
 def cmd_trace(args) -> int:
     from .obs.export import validate_chrome_trace, write_chrome_trace, write_jsonl
 
-    available = [spec.name for spec in DACAPO]
-    if args.workload not in available:
-        obslog.warn(f"unknown workload: {args.workload}")
-        obslog.warn(f"available: {', '.join(available)}")
+    problem = _run_problem(args)
+    if problem is None and args.buffer < 1:
+        problem = f"--buffer must be >= 1 event, got {args.buffer}"
+    if problem is not None:
+        obslog.warn(f"trace: {problem}")
         return 2
     registry = MetricsRegistry()
     tracer = Tracer(capacity=args.buffer, metrics=registry)
@@ -1266,10 +1291,7 @@ def cmd_check(args) -> int:
 def _lifetime_problem(args) -> Optional[str]:
     """The first bad ``lifetime`` argument, as a message, or None."""
     if args.workload not in BY_NAME:
-        return (
-            f"unknown workload {args.workload!r}; "
-            f"available: {', '.join(sorted(BY_NAME))}"
-        )
+        return _unknown_workload(args.workload)
     if args.iterations < 1:
         return f"--iterations must be >= 1, got {args.iterations}"
     if not 0 < args.endurance < math.inf:

@@ -120,6 +120,17 @@ class Tracer:
         self._clock = clock
         self._last_clock = clock()
 
+    def stop_clock(self) -> None:
+        """Hold the clock at its current reading from now on.
+
+        Unlike :meth:`bind_clock`, the accounting origin stays where it
+        is, so the phase totals are unchanged. A run calls this when it
+        ends, which drops the tracer's reference to the machine behind
+        the clock.
+        """
+        now = self._clock()
+        self._clock = lambda: now
+
     def clock(self) -> float:
         """Current simulated time, in cost-model units."""
         return self._clock()

@@ -136,3 +136,17 @@ class TestPhaseAccounting:
         breakdown = tracer.phase_breakdown()
         # The pre-bind 100 units never belonged to this tracer.
         assert sum(breakdown.values()) == pytest.approx(1.0)
+
+    def test_stop_clock_keeps_the_breakdown_and_drops_the_clock(self):
+        clock = FakeClock()
+        tracer = Tracer(clock=clock)
+        clock.advance(3.0)
+        tracer.push_phase("gc.mark")
+        clock.advance(2.0)
+        before = tracer.phase_breakdown()
+        tracer.stop_clock()
+        clock.advance(50.0)
+        assert tracer.clock() == 5.0
+        assert tracer.phase_breakdown() == before
+        tracer.pop_phase()
+        assert tracer.phase_breakdown() == before

@@ -361,6 +361,59 @@ class TestCheckBadInput:
         assert "Traceback" not in captured.err
 
 
+def _one_line_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    assert message in lines[0]
+    assert "Traceback" not in captured.err
+
+
+#: Run-shape flags ``bench`` and ``trace`` share, with their messages.
+BAD_RUN_SHAPES = [
+    (["--rate", "1.5"], "--rate must be in [0, 1], got 1.5"),
+    (["--rate", "-1"], "--rate must be in [0, 1], got -1.0"),
+    (["--rate", "nan"], "--rate must be in [0, 1]"),
+    (["--heap", "0"], "--heap must be a positive multiplier"),
+    (["--heap", "inf"], "--heap must be a positive multiplier"),
+    (["--scale", "0"], "--scale must be a positive number, got 0.0"),
+    (["--scale", "-1"], "--scale must be a positive number"),
+    (["--clustering", "-1"], "--clustering must be >= 0 pages"),
+]
+
+
+class TestBenchBadInput:
+    """Bad ``bench`` arguments exit 2 with one line, before any work."""
+
+    def test_unknown_workload(self, capsys):
+        _one_line_exit_2(capsys, ["bench", "nosuch"], "bench: unknown workload 'nosuch'")
+
+    @pytest.mark.parametrize("extra, message", BAD_RUN_SHAPES)
+    def test_bad_value_exits_2(self, capsys, extra, message):
+        _one_line_exit_2(capsys, ["bench", "pmd"] + extra, message)
+
+
+class TestTraceBadInput:
+    """Bad ``trace`` arguments exit 2 with one line, before any work."""
+
+    def test_unknown_workload(self, capsys):
+        _one_line_exit_2(
+            capsys, ["trace", "--workload", "nosuch"], "trace: unknown workload 'nosuch'"
+        )
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        BAD_RUN_SHAPES + [(["--buffer", "0"], "--buffer must be >= 1 event")],
+    )
+    def test_bad_value_exits_2(self, capsys, tmp_path, extra, message):
+        out = tmp_path / "trace.json"
+        argv = ["trace", "--workload", "pmd", "--out", str(out)] + extra
+        _one_line_exit_2(capsys, argv, message)
+        assert not out.exists()
+
+
 class TestTraceConflicts:
     """--trace cannot honour resume/retry intent: hard usage errors."""
 
