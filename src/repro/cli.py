@@ -10,7 +10,6 @@ Commands
 ``trace``      record a Chrome trace of one (wearing) run
 ``check``      run a randomized fault-injection audit campaign
 ``lifetime``   age a PCM module under a wear-management strategy
-``serve``      long-running shared-cache experiment service (HTTP)
 ``workloads``  list the synthetic DaCapo-style workloads
 
 Every grid takes one route. It is an **experiment plan** (YAML/JSON
@@ -81,8 +80,6 @@ Examples::
     python -m repro trace --workload luindex --scale 0.1 --out trace.json
     python -m repro check --seed 0
     python -m repro lifetime --strategy retire --iterations 10
-    python -m repro serve --port 8321 --cache-dir .repro-cache --jobs 4
-    python -m repro.serve.client plans/smoke.yaml --out artifact.json
 """
 
 from __future__ import annotations
@@ -124,6 +121,8 @@ from .sim.parallel import run_grid, sweep_artifact
 from .sim.plan import (
     CELL_FIELDS,
     PLAN_SCHEMA,
+    _check_scale,
+    _check_seed,
     dry_run_payload,
     expand,
     load_and_expand,
@@ -508,20 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an aging study from a lifetime snapshot (pass "
         "the same strategy/workload/endurance arguments)",
     )
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the long-lived shared-cache experiment service",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8321,
-        help="listen port (0 = ephemeral; default: %(default)s)",
-    )
-    _add_execution_arguments(serve)
-    _add_fault_tolerance_arguments(serve)
 
     sub.add_parser("workloads", help="list workloads")
     return parser
@@ -1099,8 +1084,13 @@ def _run_problem(args) -> Optional[str]:
         return f"--rate must be in [0, 1], got {args.rate}"
     if not 0 < args.heap < math.inf:
         return f"--heap must be a positive multiplier, got {args.heap}"
-    if not 0 < args.scale < math.inf:
-        return f"--scale must be a positive number, got {args.scale}"
+    # The plan precheck's checkers: a cell here accepts what a plan cell does.
+    problem = _check_scale(args.scale)
+    if problem is not None:
+        return f"--scale must be a positive number, got {args.scale} ({problem})"
+    problem = _check_seed(args.seed)
+    if problem is not None:
+        return f"--seed: {problem}"
     if args.clustering < 0:
         return f"--clustering must be >= 0 pages, got {args.clustering}"
     return None
@@ -1109,6 +1099,11 @@ def _run_problem(args) -> Optional[str]:
 def cmd_bench(args) -> int:
     # A resumed run takes its shape from the snapshot, not the flags.
     problem = None if args.resume_from else _run_problem(args)
+    if problem is None and args.checkpoint_every < 0:
+        problem = (
+            f"--checkpoint-every must be >= 0 steps (0 = off), "
+            f"got {args.checkpoint_every}"
+        )
     if problem is not None:
         obslog.warn(f"bench: {problem}")
         return 2
@@ -1205,6 +1200,8 @@ def cmd_trace(args) -> int:
     problem = _run_problem(args)
     if problem is None and args.buffer < 1:
         problem = f"--buffer must be >= 1 event, got {args.buffer}"
+    if problem is None and not 0 <= args.wear < math.inf:
+        problem = f"--wear must be >= 0 writes (0 = aged module), got {args.wear}"
     if problem is not None:
         obslog.warn(f"trace: {problem}")
         return 2
@@ -1294,6 +1291,11 @@ def _lifetime_problem(args) -> Optional[str]:
         return _unknown_workload(args.workload)
     if args.iterations < 1:
         return f"--iterations must be >= 1, got {args.iterations}"
+    if args.checkpoint_every < 0:
+        return (
+            f"--checkpoint-every must be >= 0 iterations (0 = off), "
+            f"got {args.checkpoint_every}"
+        )
     if not 0 < args.endurance < math.inf:
         return f"--endurance must be a positive number of writes, got {args.endurance}"
     return None
@@ -1361,38 +1363,6 @@ def cmd_lifetime(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from .serve.server import ExperimentService
-
-    cache = _build_cache(args)
-    if cache is None:
-        obslog.warn(
-            "serve: no --cache-dir; cross-client dedup is limited to jobs "
-            "sharing this process lifetime (results are not persisted)"
-        )
-    service = ExperimentService(
-        host=args.host,
-        port=args.port,
-        cache=cache,
-        jobs=args.jobs,
-        retry=_build_retry_policy(args),
-        timeout_s=args.timeout,
-    )
-    host, port = service.address
-    obslog.info(f"serve: listening on http://{host}:{port}")
-    obslog.info(
-        "serve: POST /jobs | GET /jobs/<id> | GET /jobs/<id>/artifact | "
-        "GET /healthz | GET /metrics"
-    )
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        obslog.info("serve: interrupted, draining")
-    finally:
-        service.shutdown()
-    return 0
-
-
 def cmd_workloads(_args) -> int:
     for spec in DACAPO:
         obslog.out(f"{spec.name:13s} {spec.describe()}")
@@ -1441,7 +1411,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workloads": cmd_workloads,
         "plan": cmd_plan,
         "report": cmd_report,
-        "serve": cmd_serve,
     }
     try:
         return handlers[args.command](args)

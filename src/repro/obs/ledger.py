@@ -20,8 +20,7 @@ Three consumers sit on top:
   — rendered by ``repro report``;
 * :class:`SweepProgress` is a live listener on parent-side events:
   done/total, running cells, hit rate, and an EMA-based ETA, printed
-  through :mod:`repro.obs.log` (``sweep --progress``) or snapshotted
-  into a job's ``progress`` block (``repro serve``);
+  through :mod:`repro.obs.log` (``sweep --progress``);
 * :func:`repro.obs.export.ledger_chrome_trace` renders the merged
   ledger as a wall-clock Chrome trace, one track per worker process.
 
@@ -90,9 +89,8 @@ class SweepLedger:
     """Parent-side ledger writer with in-process listeners.
 
     ``path=None`` is the in-memory mode: events still reach listeners
-    (live progress, the serve daemon's job counters) but nothing is
-    written to disk and worker processes — which only ever see
-    :attr:`path` — record nothing. With a path, every parent event is
+    (live progress) but nothing is written to disk and worker
+    processes — which only ever see :attr:`path` — record nothing. With a path, every parent event is
     appended to the file *and* delivered to listeners; worker events
     go straight to the file via :func:`worker_emit` and are only seen
     again by readers.
@@ -183,8 +181,7 @@ class SweepProgress:
     from an exponential moving average of executed-cell wall times
     (cache hits are excluded from the EMA — they would drive the ETA
     to zero while uncached work remains). Attach via
-    :meth:`SweepLedger.add_listener`; pass ``log`` to narrate (the
-    CLI) or poll :meth:`snapshot` (the serve daemon).
+    :meth:`SweepLedger.add_listener`; pass ``log`` to narrate.
     """
 
     #: EMA smoothing factor: ~the last 5 cells dominate.
@@ -254,17 +251,6 @@ class SweepProgress:
             return None
         remaining = max(0, self.total - self.done)
         return remaining * self.ema_cell_s / self.jobs
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "cells_total": self.total,
-            "executed": self.executed,
-            "cached": self.cached,
-            "quarantined": self.quarantined,
-            "running": self.running,
-            "hit_rate": self.hit_rate,
-            "eta_s": self.eta_s(),
-        }
 
     # -- narration ------------------------------------------------------
     def _narrate(self, force: bool = False) -> None:

@@ -11,19 +11,10 @@ Rendering follows the Prometheus text exposition format closely
 enough for standard scrapers and for stable golden tests: families
 are sorted by name, samples by label value, histogram buckets are
 cumulative with a ``+Inf`` terminal bucket plus ``_sum``/``_count``.
-
-Thread safety: a registry and every metric it creates share one
-re-entrant lock, so worker threads incrementing counters while a
-``/metrics`` scrape renders (the ``repro serve`` daemon does exactly
-this) can never observe torn state — a histogram whose ``_count``
-disagrees with its ``+Inf`` bucket, or a counter incremented between
-two samples of the same render. Mutations are short critical sections;
-a render holds the lock for the whole snapshot.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -80,78 +71,55 @@ def _label_str(labels: LabelItems, extra: Optional[Tuple[str, str]] = None) -> s
 class Counter:
     """Monotonically-increasing total."""
 
-    __slots__ = ("name", "help", "labels", "value", "_lock")
+    __slots__ = ("name", "help", "labels", "value")
 
     kind = "counter"
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        labels: LabelItems,
-        lock: Optional[threading.RLock] = None,
-    ) -> None:
+    def __init__(self, name: str, help_text: str, labels: LabelItems) -> None:
         self.name = name
         self.help = help_text
         self.labels = labels
         self.value = 0.0
-        self._lock = lock if lock is not None else threading.RLock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
     def samples(self) -> List[Tuple[str, float]]:
-        with self._lock:
-            return [(self.name + _label_str(self.labels), self.value)]
+        return [(self.name + _label_str(self.labels), self.value)]
 
 
 class Gauge:
     """A value that can go up and down."""
 
-    __slots__ = ("name", "help", "labels", "value", "_lock")
+    __slots__ = ("name", "help", "labels", "value")
 
     kind = "gauge"
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        labels: LabelItems,
-        lock: Optional[threading.RLock] = None,
-    ) -> None:
+    def __init__(self, name: str, help_text: str, labels: LabelItems) -> None:
         self.name = name
         self.help = help_text
         self.labels = labels
         self.value = 0.0
-        self._lock = lock if lock is not None else threading.RLock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
+        self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
+        self.value -= amount
 
     def samples(self) -> List[Tuple[str, float]]:
-        with self._lock:
-            return [(self.name + _label_str(self.labels), self.value)]
+        return [(self.name + _label_str(self.labels), self.value)]
 
 
 class Histogram:
     """Fixed-bucket histogram with sum and count."""
 
-    __slots__ = (
-        "name", "help", "labels", "bounds", "bucket_counts", "sum", "count",
-        "_lock",
-    )
+    __slots__ = ("name", "help", "labels", "bounds", "bucket_counts", "sum", "count")
 
     kind = "histogram"
 
@@ -161,7 +129,6 @@ class Histogram:
         help_text: str,
         labels: LabelItems,
         buckets: Sequence[float] = DEFAULT_BUCKETS,
-        lock: Optional[threading.RLock] = None,
     ) -> None:
         self.name = name
         self.help = help_text
@@ -172,17 +139,15 @@ class Histogram:
         self.bucket_counts = [0] * (len(self.bounds) + 1)  # +1 for +Inf
         self.sum = 0.0
         self.count = 0
-        self._lock = lock if lock is not None else threading.RLock()
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self.sum += value
-            self.count += 1
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self.bucket_counts[i] += 1
-                    return
-            self.bucket_counts[-1] += 1
+        self.sum += value
+        self.count += 1
+        for i, bound in enumerate(self.bounds):
+            if value <= bound:
+                self.bucket_counts[i] += 1
+                return
+        self.bucket_counts[-1] += 1
 
     def percentile(self, q: float) -> float:
         """Approximate quantile from bucket boundaries (for reports).
@@ -195,66 +160,56 @@ class Histogram:
         does not know how large those observations were, and reporting
         the largest finite bound would silently understate the tail.
         """
-        with self._lock:
-            if self.count == 0 or q <= 0.0:
-                return 0.0
-            target = min(q, 1.0) * self.count
-            running = 0
-            for i, bound in enumerate(self.bounds):
-                running += self.bucket_counts[i]
-                if running >= target:
-                    return bound
-            return float("inf")
+        if self.count == 0 or q <= 0.0:
+            return 0.0
+        target = min(q, 1.0) * self.count
+        running = 0
+        for i, bound in enumerate(self.bounds):
+            running += self.bucket_counts[i]
+            if running >= target:
+                return bound
+        return float("inf")
 
     def samples(self) -> List[Tuple[str, float]]:
-        with self._lock:
-            out: List[Tuple[str, float]] = []
-            cumulative = 0
-            for i, bound in enumerate(self.bounds):
-                cumulative += self.bucket_counts[i]
-                out.append(
-                    (
-                        self.name + "_bucket" + _label_str(self.labels, ("le", _fmt(bound))),
-                        float(cumulative),
-                    )
-                )
+        out: List[Tuple[str, float]] = []
+        cumulative = 0
+        for i, bound in enumerate(self.bounds):
+            cumulative += self.bucket_counts[i]
             out.append(
                 (
-                    self.name + "_bucket" + _label_str(self.labels, ("le", "+Inf")),
-                    float(self.count),
+                    self.name + "_bucket" + _label_str(self.labels, ("le", _fmt(bound))),
+                    float(cumulative),
                 )
             )
-            out.append((self.name + "_sum" + _label_str(self.labels), self.sum))
-            out.append((self.name + "_count" + _label_str(self.labels), float(self.count)))
-            return out
+        out.append(
+            (
+                self.name + "_bucket" + _label_str(self.labels, ("le", "+Inf")),
+                float(self.count),
+            )
+        )
+        out.append((self.name + "_sum" + _label_str(self.labels), self.sum))
+        out.append((self.name + "_count" + _label_str(self.labels), float(self.count)))
+        return out
 
 
 class MetricsRegistry:
-    """Get-or-create registry over all three metric kinds.
-
-    The registry and every metric it creates share one re-entrant
-    lock: get-or-create races can't register a metric twice, and a
-    render sees a consistent snapshot of all values even while worker
-    threads keep incrementing.
-    """
+    """Get-or-create registry over all three metric kinds."""
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelItems], Any] = {}
-        self._lock = threading.RLock()
 
     def _get(self, cls, name: str, help_text: str, labels: Dict[str, str], **kwargs):
         key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = cls(name, help_text, key[1], lock=self._lock, **kwargs)
-                self._metrics[key] = metric
-            elif not isinstance(metric, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as {metric.kind}, "
-                    f"requested {cls.kind}"
-                )
-            return metric
+        metric = self._metrics.get(key)
+        if metric is None:
+            metric = cls(name, help_text, key[1], **kwargs)
+            self._metrics[key] = metric
+        elif not isinstance(metric, cls):
+            raise TypeError(
+                f"metric {name!r} already registered as {metric.kind}, "
+                f"requested {cls.kind}"
+            )
+        return metric
 
     def counter(self, name: str, help_text: str = "", **labels: str) -> Counter:
         return self._get(Counter, name, help_text, labels)
@@ -272,61 +227,51 @@ class MetricsRegistry:
         return self._get(Histogram, name, help_text, labels, buckets=buckets)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._metrics)
+        return len(self._metrics)
 
     def __iter__(self) -> Iterable[Any]:
-        with self._lock:
-            return iter(list(self._metrics.values()))
+        return iter(list(self._metrics.values()))
 
     def families(self) -> List[Tuple[str, List[Any]]]:
         """Metrics grouped by family name, deterministically sorted."""
-        with self._lock:
-            grouped: Dict[str, List[Any]] = {}
-            for (name, _labels), metric in sorted(self._metrics.items()):
-                grouped.setdefault(name, []).append(metric)
-            return sorted(grouped.items())
+        grouped: Dict[str, List[Any]] = {}
+        for (name, _labels), metric in sorted(self._metrics.items()):
+            grouped.setdefault(name, []).append(metric)
+        return sorted(grouped.items())
 
     def render_prometheus(self) -> str:
-        """Prometheus text exposition of every registered metric.
-
-        The whole render happens under the registry lock (re-entrant,
-        shared with every metric), so a scrape is one consistent
-        snapshot even while worker threads increment concurrently.
-        """
-        with self._lock:
-            lines: List[str] = []
-            for name, metrics in self.families():
-                first = metrics[0]
-                if first.help:
-                    lines.append(f"# HELP {name} {first.help}")
-                lines.append(f"# TYPE {name} {first.kind}")
-                for metric in metrics:
-                    for sample_name, value in metric.samples():
-                        lines.append(f"{sample_name} {_fmt(value)}")
-            return "\n".join(lines) + ("\n" if lines else "")
+        """Prometheus text exposition of every registered metric."""
+        lines: List[str] = []
+        for name, metrics in self.families():
+            first = metrics[0]
+            if first.help:
+                lines.append(f"# HELP {name} {first.help}")
+            lines.append(f"# TYPE {name} {first.kind}")
+            for metric in metrics:
+                for sample_name, value in metric.samples():
+                    lines.append(f"{sample_name} {_fmt(value)}")
+        return "\n".join(lines) + ("\n" if lines else "")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly dump (used by tests and the JSONL exporter)."""
-        with self._lock:
-            out: Dict[str, Any] = {}
-            for name, metrics in self.families():
-                entries = []
-                for metric in metrics:
-                    entry: Dict[str, Any] = {
-                        "labels": dict(metric.labels),
-                        "kind": metric.kind,
+        out: Dict[str, Any] = {}
+        for name, metrics in self.families():
+            entries = []
+            for metric in metrics:
+                entry: Dict[str, Any] = {
+                    "labels": dict(metric.labels),
+                    "kind": metric.kind,
+                }
+                if metric.kind == "histogram":
+                    entry["sum"] = metric.sum
+                    entry["count"] = metric.count
+                    entry["buckets"] = {
+                        _fmt(bound): count
+                        for bound, count in zip(metric.bounds, metric.bucket_counts)
                     }
-                    if metric.kind == "histogram":
-                        entry["sum"] = metric.sum
-                        entry["count"] = metric.count
-                        entry["buckets"] = {
-                            _fmt(bound): count
-                            for bound, count in zip(metric.bounds, metric.bucket_counts)
-                        }
-                        entry["buckets"]["+Inf"] = metric.bucket_counts[-1]
-                    else:
-                        entry["value"] = metric.value
-                    entries.append(entry)
-                out[name] = entries
-            return out
+                    entry["buckets"]["+Inf"] = metric.bucket_counts[-1]
+                else:
+                    entry["value"] = metric.value
+                entries.append(entry)
+            out[name] = entries
+        return out

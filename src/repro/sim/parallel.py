@@ -2,7 +2,7 @@
 from a grid to its results and its artifact.
 
 The unit of work is one :class:`~repro.sim.machine.RunConfig` cell;
-flag grids, plan files, serve jobs and figure grids all arrive as
+flag grids, plan files and figure grids all arrive as
 cell lists. ``run_grid`` has two routes: ``jobs <= 1`` with no retry,
 timeout or chaos runs every cell in-process (so per-cell traces,
 ``--profile-cells`` and debuggers see it); everything else goes to the
@@ -207,7 +207,7 @@ def run_grid(
 
     ``ledger`` is the flight recorder (:mod:`repro.obs.ledger`):
     parent-side events go through it (and its listeners — live
-    progress, serve job counters); workers append straight to its
+    progress); workers append straight to its
     ``path``, if any. ``profile_dir`` arms per-attempt cProfile
     spooling and ``tracing`` writes a Chrome trace of every cell; it
     needs the in-process route and no cache, since tracers cross no

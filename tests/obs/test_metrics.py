@@ -128,100 +128,3 @@ class TestPrometheusRendering:
         assert dump["h"][0]["buckets"] == {"1": 1, "+Inf": 0}
         assert dump["h"][0]["count"] == 1
 
-
-class TestThreadSafety:
-    """Worker threads mutating while scrape threads render.
-
-    The `repro serve` daemon exercises exactly this shape: its job
-    worker increments counters and observes histograms while
-    ThreadingHTTPServer scrape threads call render_prometheus().
-    """
-
-    def test_concurrent_increments_are_not_lost(self):
-        import threading
-
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_stress_total")
-        gauge = registry.gauge("repro_stress_gauge")
-        hist = registry.histogram("repro_stress_ms", buckets=(1.0, 10.0, 100.0))
-        threads_n, iterations = 4, 5000
-        start = threading.Barrier(threads_n)
-
-        def writer():
-            start.wait()
-            for i in range(iterations):
-                counter.inc()
-                gauge.inc()
-                hist.observe(float(i % 200))
-
-        threads = [threading.Thread(target=writer) for _ in range(threads_n)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        total = threads_n * iterations
-        assert counter.value == total
-        assert gauge.value == total
-        assert hist.count == total
-        assert hist.bucket_counts[-1] + sum(hist.bucket_counts[:-1]) == total
-
-    def test_renders_never_observe_torn_state(self):
-        import re
-        import threading
-
-        registry = MetricsRegistry()
-        hist = registry.histogram("repro_torn_ms", buckets=(1.0, 10.0))
-        stop = threading.Event()
-        problems = []
-
-        def writer():
-            value = 0
-            while not stop.is_set():
-                # Each observation lands in exactly one bucket; in any
-                # consistent snapshot +Inf cumulative == _count.
-                hist.observe(float(value % 20))
-                registry.counter("repro_torn_total").inc()
-                value += 1
-
-        def scraper():
-            pattern_inf = re.compile(r'repro_torn_ms_bucket\{le="\+Inf"\} (\d+)')
-            pattern_count = re.compile(r"repro_torn_ms_count (\d+)")
-            while not stop.is_set():
-                text = registry.render_prometheus()
-                inf = pattern_inf.search(text)
-                count = pattern_count.search(text)
-                if inf is None or count is None:
-                    continue
-                if inf.group(1) != count.group(1):
-                    problems.append((inf.group(1), count.group(1)))
-
-        writers = [threading.Thread(target=writer) for _ in range(2)]
-        scrapers = [threading.Thread(target=scraper) for _ in range(2)]
-        for thread in writers + scrapers:
-            thread.start()
-        import time
-
-        time.sleep(0.5)
-        stop.set()
-        for thread in writers + scrapers:
-            thread.join()
-        assert not problems, f"torn renders: {problems[:5]}"
-
-    def test_get_or_create_race_registers_once(self):
-        import threading
-
-        registry = MetricsRegistry()
-        created = []
-        start = threading.Barrier(8)
-
-        def getter():
-            start.wait()
-            created.append(registry.counter("repro_race_total", worker="w"))
-
-        threads = [threading.Thread(target=getter) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len({id(metric) for metric in created}) == 1
-        assert len(registry) == 1

@@ -52,26 +52,6 @@ class TestParser:
         assert args.jobs == 1
         assert args.out == "BENCH_sweep.json"
 
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8321
-        assert args.jobs == 1
-        assert args.cache_dir is None
-        assert args.retries is None
-        assert args.timeout is None
-
-    def test_serve_execution_flags(self):
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--cache-dir", ".c", "--jobs", "4",
-             "--retries", "3", "--timeout", "30"]
-        )
-        assert args.port == 0
-        assert args.cache_dir == ".c"
-        assert args.jobs == 4
-        assert args.retries == 3
-        assert args.timeout == 30.0
-
 
 class TestCommands:
     def test_workloads_lists_all(self, capsys):
@@ -325,6 +305,8 @@ class TestLifetimeBadInput:
             (["--workload", "nosuch"], "unknown workload 'nosuch'"),
             (["--iterations", "-1"], "--iterations must be >= 1"),
             (["--iterations", "0"], "--iterations must be >= 1"),
+            (["--workload", "luindex", "--iterations", "1", "--checkpoint-every", "-1"],
+             "--checkpoint-every must be >= 0 iterations (0 = off), got -1"),
         ],
     )
     def test_bad_value_exits_2(self, capsys, extra, message):
@@ -390,7 +372,15 @@ class TestBenchBadInput:
     def test_unknown_workload(self, capsys):
         _one_line_exit_2(capsys, ["bench", "nosuch"], "bench: unknown workload 'nosuch'")
 
-    @pytest.mark.parametrize("extra, message", BAD_RUN_SHAPES)
+    @pytest.mark.parametrize(
+        "extra, message",
+        BAD_RUN_SHAPES + [
+            (["--scale", "0.05", "--checkpoint-every", "-1"],
+             "--checkpoint-every must be >= 0 steps (0 = off), got -1"),
+            (["--scale", "0.05", "--seed", "-3"], "--seed: expected a seed >= 0, got -3"),
+            (["--scale", "1.5"], "expected a scale in (0, 1], got 1.5"),
+        ],
+    )
     def test_bad_value_exits_2(self, capsys, extra, message):
         _one_line_exit_2(capsys, ["bench", "pmd"] + extra, message)
 
@@ -405,7 +395,14 @@ class TestTraceBadInput:
 
     @pytest.mark.parametrize(
         "extra, message",
-        BAD_RUN_SHAPES + [(["--buffer", "0"], "--buffer must be >= 1 event")],
+        BAD_RUN_SHAPES + [
+            (["--buffer", "0"], "--buffer must be >= 1 event"),
+            (["--scale", "0.05", "--wear", "-1"],
+             "--wear must be >= 0 writes (0 = aged module), got -1.0"),
+            (["--scale", "0.05", "--wear", "inf"], "--wear must be >= 0 writes"),
+            (["--scale", "0.05", "--seed", "-3"], "--seed: expected a seed >= 0, got -3"),
+            (["--scale", "1.5"], "expected a scale in (0, 1], got 1.5"),
+        ],
     )
     def test_bad_value_exits_2(self, capsys, tmp_path, extra, message):
         out = tmp_path / "trace.json"
