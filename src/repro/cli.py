@@ -7,7 +7,6 @@ Commands
 ``plan``       precheck / dry-run a declarative experiment plan
 ``report``     aggregate a sweep flight-recorder ledger
 ``bench``      run one workload at one configuration and dump counters
-``trace``      record a Chrome trace of one (wearing) run
 ``check``      run a randomized fault-injection audit campaign
 ``lifetime``   age a PCM module under a wear-management strategy
 ``workloads``  list the synthetic DaCapo-style workloads
@@ -50,8 +49,13 @@ and machine-readable JSON (never suppressed) — while stderr carries
 narration. ``figures``, ``sweep`` and ``bench`` accept ``--trace`` and
 ``--metrics-out`` to record Chrome traces / Prometheus metrics of the
 runs they execute (a traced grid takes ``run_grid``'s in-process,
-uncached route); ``trace`` is the dedicated single-run recorder and
-defaults to a *wearing* module so the hardware failure path is hot.
+uncached route). ``bench --wear WRITES`` runs its cell on a *wearing*
+module, so dynamic failures arrive mid-run and the hardware failure
+path is hot; ``--jsonl`` also dumps the raw events.
+
+Every command checks a run-shape flag with the plan cell checker of
+its field, so it accepts exactly what a plan cell does; a bad value
+exits 2 with one line, ``<command>: --<flag>: <message>``.
 
 Where the *harness* spends real wall-clock time is a separate
 recorder: ``sweep --ledger PATH`` appends per-cell flight-recorder
@@ -77,7 +81,8 @@ Examples::
         --ledger sweep.ledger.jsonl --profile-cells
     python -m repro report sweep.ledger.jsonl --json --trace-out wall.json
     python -m repro bench pmd --rate 0.25 --clustering 2 --heap 2.0
-    python -m repro trace --workload luindex --scale 0.1 --out trace.json
+    python -m repro bench luindex --scale 0.1 --clustering 2 --wear 25 \
+        --trace trace.json --jsonl trace.jsonl
     python -m repro check --seed 0
     python -m repro lifetime --strategy retire --iterations 10
 """
@@ -90,10 +95,10 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .check.audit import VERIFY_LEVELS
-from .errors import CellsQuarantinedError, PlanError, SnapshotError
+from .errors import CellsQuarantinedError, ConfigError, PlanError, SnapshotError
 from .faults.generator import FailureModel
 from .ioutil import atomic_write_json, atomic_write_text
 from .obs import log as obslog
@@ -111,18 +116,12 @@ from .sim.cache import ResultCache
 from .sim.chaos import ChaosConfig
 from .sim.experiment import ExperimentRunner
 from .sim.ftexec import RetryPolicy
-from .sim.machine import (
-    RunConfig,
-    resume_benchmark,
-    run_benchmark,
-    run_wearing_benchmark,
-)
+from .sim.machine import resume_benchmark, run_benchmark, run_wearing_benchmark
 from .sim.parallel import run_grid, sweep_artifact
 from .sim.plan import (
     CELL_FIELDS,
     PLAN_SCHEMA,
-    _check_scale,
-    _check_seed,
+    cell_to_config,
     dry_run_payload,
     expand,
     load_and_expand,
@@ -130,7 +129,7 @@ from .sim.plan import (
 )
 from .sim.snapshot import CheckpointPolicy
 from .sim.tracing import TraceDirectory, trace_metadata
-from .workloads.dacapo import BY_NAME, DACAPO
+from .workloads.dacapo import DACAPO
 
 #: figure name -> callable(runner, scale) -> list of FigureResult
 _FIGURES = {}
@@ -150,6 +149,21 @@ _SWEEP_GRID_DEFAULTS = {
     "heaps": [CELL_FIELDS["heap"][1]],
     "seeds": [CELL_FIELDS["seed"][1]],
     **{name: CELL_FIELDS[name][1] for name in _SWEEP_FIXED_FLAGS},
+}
+
+#: ``bench``'s run-shape arguments -> the plan cell field each sets.
+_BENCH_FIELDS = {
+    "workload": "workload",
+    "--rate": "rate",
+    "--heap": "heap",
+    "--line": "line",
+    "--collector": "collector",
+    "--clustering": "clustering",
+    "--seed": "seed",
+    "--scale": "scale",
+    "--wear-policy": "wear_policy",
+    "--pool-policy": "pool_policy",
+    "--placement-policy": "placement_policy",
 }
 
 #: The parser defaults of what ``figures --plan`` takes from the plan.
@@ -409,51 +423,22 @@ def build_parser() -> argparse.ArgumentParser:
         "is bit-identical to an uninterrupted run",
     )
     _add_observability_arguments(bench, directory=False)
-
-    trace = sub.add_parser(
-        "trace", help="record a Chrome trace (Perfetto-loadable) of one run"
-    )
-    trace.add_argument("--workload", required=True)
-    trace.add_argument("--heap", type=float, default=2.0, metavar="MULTIPLIER")
-    trace.add_argument("--rate", type=float, default=0.0)
-    trace.add_argument("--clustering", type=int, default=2, metavar="PAGES")
-    trace.add_argument("--line", type=int, default=256, choices=[64, 128, 256])
-    trace.add_argument(
-        "--collector",
-        default="sticky-immix",
-        choices=["immix", "sticky-immix", "marksweep", "sticky-marksweep"],
-    )
-    trace.add_argument("--scale", type=float, default=0.35)
-    trace.add_argument("--seed", type=int, default=0)
-    _add_policy_arguments(trace)
-    trace.add_argument(
+    bench.add_argument(
         "--wear",
         type=float,
-        default=25.0,
+        default=0.0,
         metavar="WRITES",
         help="mean line endurance in writes; the run wears the module so "
-        "dynamic failures arrive mid-run (0 = aged module, static "
-        "failures only; default: %(default)s)",
+        "dynamic failures arrive mid-run (default: %(default)s = aged "
+        "module, static failures only)",
     )
-    trace.add_argument(
-        "--out",
-        metavar="PATH",
-        default="trace.json",
-        help="Chrome trace_event JSON output (default: %(default)s)",
-    )
-    trace.add_argument(
+    bench.add_argument(
         "--jsonl",
         metavar="PATH",
         default=None,
-        help="also write raw events as JSON Lines to PATH",
+        help="also write the raw trace events as JSON Lines to PATH",
     )
-    trace.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write Prometheus text-format metrics to PATH",
-    )
-    trace.add_argument(
+    bench.add_argument(
         "--buffer",
         type=int,
         default=DEFAULT_CAPACITY,
@@ -785,6 +770,38 @@ def _trace_directory(args) -> TraceDirectory:
     return TraceDirectory(args.trace)
 
 
+def _attribute(flag: str) -> str:
+    """The argparse attribute of a flag spelling: ``--wear-policy`` ->
+    ``wear_policy``."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _usage_errors(
+    command: str, args, fields: Dict[str, str], *own_problems
+) -> bool:
+    """Warn one line per refused argument and return True (exit 2) if
+    any was refused.
+
+    ``fields`` maps each run-shape flag to its plan cell field, whose
+    :data:`CELL_FIELDS` checker judges the flag's value (each value of
+    a list; an unset flag is not checked), so a command accepts what a
+    plan cell does. ``own_problems`` are the command's checks of flags
+    no cell field covers: a message, or a false value for none.
+    """
+    problems = []
+    for flag, field in fields.items():
+        values = getattr(args, _attribute(flag))
+        for value in values if isinstance(values, list) else [values]:
+            error = None if value is None else CELL_FIELDS[field][0](value)
+            if error:
+                problems.append(f"{flag}: {error}")
+                break
+    problems += [problem for problem in own_problems if problem]
+    for problem in problems:
+        obslog.warn(f"{command}: {problem}")
+    return bool(problems)
+
+
 def cmd_figures(args) -> int:
     _register_figures()
     names = list(args.names)
@@ -812,14 +829,9 @@ def cmd_figures(args) -> int:
         names = list(plan.figures)
         scale = plan.scale
         seeds = list(plan.seeds)
-    else:
+    elif _usage_errors("figures", args, {"--scale": "scale", "--seeds": "seed"}):
         # The plan precheck's checkers: both spellings accept the same.
-        errors = [f"--scale: {e}" for e in [CELL_FIELDS["scale"][0](scale)] if e]
-        errors += [f"--seeds: {e}" for e in map(CELL_FIELDS["seed"][0], seeds) if e]
-        for error in errors:
-            obslog.warn(error)
-        if errors:
-            return 2
+        return 2
     if names == ["all"] or "all" in names:
         names = list(_FIGURES)
     unknown = [n for n in names if n not in _FIGURES]
@@ -1072,51 +1084,30 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _unknown_workload(name: str) -> str:
-    return f"unknown workload {name!r}; available: {', '.join(sorted(BY_NAME))}"
-
-
-def _run_problem(args) -> Optional[str]:
-    """The first bad run-shape argument of ``bench`` or ``trace``, or None."""
-    if args.workload not in BY_NAME:
-        return _unknown_workload(args.workload)
-    if not 0 <= args.rate <= 1:
-        return f"--rate must be in [0, 1], got {args.rate}"
-    if not 0 < args.heap < math.inf:
-        return f"--heap must be a positive multiplier, got {args.heap}"
-    # The plan precheck's checkers: a cell here accepts what a plan cell does.
-    problem = _check_scale(args.scale)
-    if problem is not None:
-        return f"--scale must be a positive number, got {args.scale} ({problem})"
-    problem = _check_seed(args.seed)
-    if problem is not None:
-        return f"--seed: {problem}"
-    if args.clustering < 0:
-        return f"--clustering must be >= 0 pages, got {args.clustering}"
-    return None
-
-
 def cmd_bench(args) -> int:
-    # A resumed run takes its shape from the snapshot, not the flags.
-    problem = None if args.resume_from else _run_problem(args)
-    if problem is None and args.checkpoint_every < 0:
-        problem = (
-            f"--checkpoint-every must be >= 0 steps (0 = off), "
-            f"got {args.checkpoint_every}"
-        )
-    if problem is not None:
-        obslog.warn(f"bench: {problem}")
+    # A resumed run takes its shape, wear included, from the snapshot.
+    if _usage_errors(
+        "bench",
+        args,
+        {} if args.resume_from else _BENCH_FIELDS,
+        args.checkpoint_every < 0
+        and f"--checkpoint-every must be >= 0 steps (0 = off), got {args.checkpoint_every}",
+        args.buffer < 1 and f"--buffer must be >= 1 event, got {args.buffer}",
+        not 0 <= args.wear < math.inf
+        and f"--wear must be >= 0 writes (0 = aged module), got {args.wear}",
+    ):
         return 2
     registry = None
     tracer = None
-    if args.trace or args.metrics_out:
+    if args.trace or args.jsonl or args.metrics_out:
         registry = MetricsRegistry()
-        tracer = Tracer(metrics=registry)
+        tracer = Tracer(capacity=args.buffer, metrics=registry)
     checkpoint = None
     if args.checkpoint_every > 0:
         checkpoint = CheckpointPolicy(
             args.checkpoint, every_steps=args.checkpoint_every
         )
+    wear = 0.0 if args.resume_from else args.wear
     if args.resume_from:
         # The snapshot carries the RunConfig; flags describing the run
         # shape are ignored so the continuation cannot diverge.
@@ -1127,25 +1118,25 @@ def cmd_bench(args) -> int:
         )
         config = result.config
     else:
-        config = RunConfig(
-            workload=args.workload,
-            heap_multiplier=args.heap,
-            collector=args.collector,
-            failure_model=FailureModel(
-                rate=args.rate, hw_region_pages=args.clustering
-            ),
-            immix_line=args.line,
+        cell = {name: default for name, (_, default) in CELL_FIELDS.items()}
+        cell.update(
+            {field: getattr(args, _attribute(flag)) for flag, field in _BENCH_FIELDS.items()},
             compensate=not args.no_compensate,
             arraylets=args.arraylets,
-            seed=args.seed,
-            scale=args.scale,
-            wear_policy=args.wear_policy,
-            pool_policy=args.pool_policy,
-            placement_policy=args.placement_policy,
         )
-        result = run_benchmark(
-            config, verify=args.verify_heap, tracer=tracer, checkpoint=checkpoint
-        )
+        config = cell_to_config(cell)
+        # Static failures come from an aged module; --wear adds the
+        # dynamic ones (failure buffer, OS upcall, evacuation).
+        if wear > 0:
+            result = run_wearing_benchmark(
+                config, wear, verify=args.verify_heap, tracer=tracer,
+                checkpoint=checkpoint,
+            )
+        else:
+            result = run_benchmark(
+                config, verify=args.verify_heap, tracer=tracer,
+                checkpoint=checkpoint,
+            )
     # The baseline exists only for the slowdown ratio; it is never
     # traced, so the trace holds exactly the measured run's events.
     baseline = run_benchmark(
@@ -1165,6 +1156,12 @@ def cmd_bench(args) -> int:
     )
     for key in interesting:
         obslog.out(f"  {key:24s} {result.stats[key]}")
+    if result.stats["dynamic_failed_lines"]:
+        obslog.out(
+            f"  {'dynamic_failed_lines':24s} {result.stats['dynamic_failed_lines']} "
+            f"({result.stats['dynamic_failure_collections']} failure-forced "
+            "collections)"
+        )
     obslog.out(f"  {'perfect_page_demand':24s} {result.perfect_page_demand}")
     obslog.out(f"  {'borrowed_pages':24s} {result.borrowed_pages}")
     if result.phase_breakdown:
@@ -1180,100 +1177,34 @@ def cmd_bench(args) -> int:
     if args.trace:
         from .obs.export import validate_chrome_trace, write_chrome_trace
 
-        payload = write_chrome_trace(
-            tracer, args.trace, metadata=trace_metadata(config, result)
-        )
+        metadata = trace_metadata(config, result)
+        if wear > 0:
+            metadata["wear_mean_writes"] = wear
+        payload = write_chrome_trace(tracer, args.trace, metadata=metadata)
         for problem in validate_chrome_trace(payload):
             obslog.warn(f"trace: {problem}")
         obslog.info(
             f"trace: {args.trace} ({tracer.recorded} events, "
             f"{tracer.dropped} dropped)"
         )
+    if args.jsonl:
+        from .obs.export import write_jsonl
+
+        count = write_jsonl(tracer, args.jsonl)
+        obslog.info(f"jsonl: {args.jsonl} ({count} events)")
     if args.metrics_out:
         _write_metrics(registry, args.metrics_out)
     return 0 if result.completed else 1
 
 
-def cmd_trace(args) -> int:
-    from .obs.export import validate_chrome_trace, write_chrome_trace, write_jsonl
-
-    problem = _run_problem(args)
-    if problem is None and args.buffer < 1:
-        problem = f"--buffer must be >= 1 event, got {args.buffer}"
-    if problem is None and not 0 <= args.wear < math.inf:
-        problem = f"--wear must be >= 0 writes (0 = aged module), got {args.wear}"
-    if problem is not None:
-        obslog.warn(f"trace: {problem}")
-        return 2
-    registry = MetricsRegistry()
-    tracer = Tracer(capacity=args.buffer, metrics=registry)
-    config = RunConfig(
-        workload=args.workload,
-        heap_multiplier=args.heap,
-        collector=args.collector,
-        failure_model=FailureModel(rate=args.rate, hw_region_pages=args.clustering),
-        immix_line=args.line,
-        seed=args.seed,
-        scale=args.scale,
-        wear_policy=args.wear_policy,
-        pool_policy=args.pool_policy,
-        placement_policy=args.placement_policy,
-    )
-    if args.wear > 0:
-        result = run_wearing_benchmark(config, mean_writes=args.wear, tracer=tracer)
-    else:
-        result = run_benchmark(config, tracer=tracer)
-    metadata = trace_metadata(config, result)
-    metadata["wear_mean_writes"] = args.wear
-    payload = write_chrome_trace(tracer, args.out, metadata=metadata)
-    problems = validate_chrome_trace(payload)
-    for problem in problems:
-        obslog.warn(f"trace: {problem}")
-    if args.jsonl:
-        count = write_jsonl(tracer, args.jsonl)
-        obslog.info(f"jsonl: {args.jsonl} ({count} events)")
-    if args.metrics_out:
-        _write_metrics(registry, args.metrics_out)
-
-    categories = sorted({event.cat for event in tracer.events()})
-    status = "completed" if result.completed else f"DNF: {result.failure_note}"
-    obslog.out(f"workload      {args.workload} ({status})")
-    obslog.out(f"trace         {args.out} ({tracer.recorded} events recorded, "
-               f"{tracer.dropped} dropped, layers: {', '.join(categories)})")
-    obslog.out(f"collections   {result.stats['collections']} "
-               f"({result.stats['dynamic_failure_collections']} failure-forced, "
-               f"{result.stats['dynamic_failed_lines']} lines failed dynamically)")
-    if result.phase_breakdown:
-        for line in _render_phase_breakdown(
-            result.phase_breakdown, result.time_units
-        ):
-            obslog.out(line)
-    obslog.info("open in Perfetto: https://ui.perfetto.dev -> Open trace file")
-    return 0 if result.completed and not problems else 1
-
-
-def _check_problem(args) -> Optional[str]:
-    """The first bad ``check`` argument, as a message, or None."""
-    if args.seed < 0:
-        return f"--seed must be >= 0, got {args.seed}"
-    if not 0 < args.scale < math.inf:
-        return f"--scale must be a positive number, got {args.scale}"
-    available = [spec.name for spec in DACAPO]
-    unknown = [name for name in args.workloads or () if name not in available]
-    if unknown:
-        return (
-            f"unknown workloads: {', '.join(unknown)}; "
-            f"available: {', '.join(available)}"
-        )
-    return None
-
-
 def cmd_check(args) -> int:
     from .check import run_campaign
 
-    problem = _check_problem(args)
-    if problem is not None:
-        obslog.warn(f"check: {problem}")
+    if _usage_errors(
+        "check",
+        args,
+        {"--seed": "seed", "--scale": "scale", "--workloads": "workload"},
+    ):
         return 2
     result = run_campaign(
         seed=args.seed,
@@ -1283,22 +1214,6 @@ def cmd_check(args) -> int:
     )
     obslog.out(result.render())
     return 0 if result.ok else 1
-
-
-def _lifetime_problem(args) -> Optional[str]:
-    """The first bad ``lifetime`` argument, as a message, or None."""
-    if args.workload not in BY_NAME:
-        return _unknown_workload(args.workload)
-    if args.iterations < 1:
-        return f"--iterations must be >= 1, got {args.iterations}"
-    if args.checkpoint_every < 0:
-        return (
-            f"--checkpoint-every must be >= 0 iterations (0 = off), "
-            f"got {args.checkpoint_every}"
-        )
-    if not 0 < args.endurance < math.inf:
-        return f"--endurance must be a positive number of writes, got {args.endurance}"
-    return None
 
 
 def cmd_lifetime(args) -> int:
@@ -1312,9 +1227,16 @@ def cmd_lifetime(args) -> int:
     )
     from .workloads.dacapo import workload
 
-    problem = _lifetime_problem(args)
-    if problem is not None:
-        obslog.warn(f"lifetime: {problem}")
+    if _usage_errors(
+        "lifetime",
+        args,
+        {"--workload": "workload"},
+        args.iterations < 1 and f"--iterations must be >= 1, got {args.iterations}",
+        args.checkpoint_every < 0
+        and f"--checkpoint-every must be >= 0 iterations (0 = off), got {args.checkpoint_every}",
+        not 0 < args.endurance < math.inf
+        and f"--endurance must be a positive number of writes, got {args.endurance}",
+    ):
         return 2
     spec = write_heavy(workload(args.workload), mutations_per_object=2.0)
     spec = dataclasses.replace(
@@ -1405,7 +1327,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figures": cmd_figures,
         "sweep": cmd_sweep,
         "bench": cmd_bench,
-        "trace": cmd_trace,
         "check": cmd_check,
         "lifetime": cmd_lifetime,
         "workloads": cmd_workloads,
@@ -1419,6 +1340,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # problem (the precheck collects all of them), not a traceback.
         for problem in exc.problems:
             obslog.warn(f"plan: {problem.where}: {problem.message}")
+        return 2
+    except ConfigError as exc:
+        # A bad value the flags let through (say, --retries 0) is a
+        # usage error too. Simulation outcomes (out of memory and its
+        # kin) are not ConfigErrors and keep their tracebacks.
+        obslog.warn(f"{args.command}: {exc}")
         return 2
     except SnapshotError as exc:
         # Unreadable/corrupt/stale checkpoint files are usage errors

@@ -331,8 +331,8 @@ def run_wearing_benchmark(
     variant — the same recipe as the audit campaigns — gives every
     line a low sampled endurance (``mean_writes``), enables
     write-through wear, and forces enough mutation that application
-    stores actually kill lines. It is the backing for ``repro trace``,
-    where a trace without hardware-layer events would be useless.
+    stores actually kill lines. It is the backing for ``repro bench
+    --wear``, whose trace then holds hardware-layer events too.
     """
     import dataclasses as _dc
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,7 +131,8 @@ def _check_rate(value: Any) -> Optional[str]:
 
 
 def _check_heap(value: Any) -> Optional[str]:
-    if not _is_number(value) or value <= 0:
+    # Finite too: the heap size is int(min_heap * multiplier).
+    if not _is_number(value) or not 0 < value < math.inf:
         return f"expected a positive heap multiplier, got {value!r}"
     return None
 

@@ -67,6 +67,25 @@ class TestPrecheck:
         assert {"defaults.rate", "defaults.heap", "defaults.line",
                 "defaults.scale"} <= wheres
 
+    @pytest.mark.parametrize("heap", [float("inf"), float("nan")])
+    def test_non_finite_heap(self, heap):
+        # The heap size is int(min_heap * multiplier): refuse it up front.
+        problems, expanded = precheck(
+            doc(defaults={"workload": "luindex"}, axes={"heap": [heap]})
+        )
+        assert expanded is None
+        assert [p.where for p in problems] == ["axes.heap[0]"]
+
+    def test_yaml_infinite_heap(self, tmp_path):
+        path = tmp_path / "plan.yaml"
+        path.write_text(
+            f"plan: {PLAN_SCHEMA}\nname: t\n"
+            "defaults:\n  workload: luindex\n  heap: .inf\n"
+        )
+        with pytest.raises(PlanError) as info:
+            load_and_expand(path)
+        assert [p.where for p in info.value.problems] == ["defaults.heap"]
+
     def test_empty_axis(self):
         problems, expanded = precheck(
             doc(defaults={"workload": "luindex"}, axes={"rate": []})
