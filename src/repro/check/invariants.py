@@ -792,52 +792,9 @@ def check_kernel_caches(vm, violations: List[Violation], trigger: str) -> None:
         )
 
 
-def check_snapshot_coherence(vm, violations: List[Violation], trigger: str) -> None:
-    """Snapshotting must neither perturb the machine nor diverge from it.
-
-    Capture the whole machine, digest it before and after (capture
-    purity), restore the image and digest the twin (round-trip
-    fidelity). A full pickle round-trip per audit is too heavy for the
-    per-GC triggers, so this checker only engages on ``final`` and
-    ``manual`` audits — every verified run still proves its machine
-    was snapshot-safe at least once, at its most complex state.
-    """
-    if trigger not in ("final", "manual"):
-        return
-    # Imported lazily: repro.sim pulls the whole stack back in, and a
-    # module-level import here would cycle through repro.runtime.vm.
-    from ..sim.snapshot import MachineSnapshot, machine_digest
-
-    before = machine_digest(vm)
-    snapshot = MachineSnapshot.capture(vm, kind="audit")
-    after = machine_digest(vm)
-    if after != before:
-        violations.append(
-            Violation(
-                invariant="snapshot-capture-purity",
-                layer="runtime",
-                message="capturing a snapshot mutated the live machine",
-                expected=f"digest {before[:16]}…",
-                actual=f"digest {after[:16]}…",
-            )
-        )
-        return
-    restored_digest = machine_digest(snapshot.restore())
-    if restored_digest != before:
-        violations.append(
-            Violation(
-                invariant="snapshot-round-trip",
-                layer="runtime",
-                message="a restored snapshot diverges from its source machine",
-                expected=f"digest {before[:16]}…",
-                actual=f"digest {restored_digest[:16]}…",
-            )
-        )
-
-
 #: The full checker suite, in layer order (hardware outward), ending
-#: with the meta-checkers that validate the caching and snapshot
-#: machinery itself.
+#: with the meta-checkers that validate the tracer's accounting and the
+#: kernels' caches.
 ALL_CHECKERS = (
     check_redirection_maps,
     check_failure_chain,
@@ -849,7 +806,6 @@ ALL_CHECKERS = (
     check_space_accounting,
     check_time_breakdown,
     check_kernel_caches,
-    check_snapshot_coherence,
 )
 
 

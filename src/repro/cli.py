@@ -38,10 +38,9 @@ aborting the sweep, and ``--retries``/``--timeout`` give each cell
 more attempts (with backoff) and a wall-time budget. ``sweep
 --resume`` restarts a killed sweep against the same ``--cache-dir``:
 completed cells replay from the cache and only the remainder
-re-executes. ``bench`` can snapshot the whole simulated machine every
-N driver steps (``--checkpoint-every``) and continue from a snapshot
-(``--resume-from``) with bit-identical results; ``lifetime`` does the
-same at iteration granularity.
+re-executes. ``lifetime`` can checkpoint its aging module every N
+iterations (``--checkpoint-every``) and continue from a checkpoint of
+the same study (``--resume``) with bit-identical results.
 
 Output streams follow one convention (see :mod:`repro.obs.log`):
 stdout carries primary output — human reports (suppressed by ``-q``)
@@ -55,7 +54,9 @@ path is hot; ``--jsonl`` also dumps the raw events.
 
 Every command checks a run-shape flag with the plan cell checker of
 its field, so it accepts exactly what a plan cell does; a bad value
-exits 2 with one line, ``<command>: --<flag>: <message>``.
+exits 2 with one line, ``<command>: --<flag>: <message>``. ``sweep``
+and ``figures`` check ``--retries``, ``--retry-delay`` and
+``--timeout`` the same way, before any cell runs.
 
 Where the *harness* spends real wall-clock time is a separate
 recorder: ``sweep --ledger PATH`` appends per-cell flight-recorder
@@ -116,7 +117,7 @@ from .sim.cache import ResultCache
 from .sim.chaos import ChaosConfig
 from .sim.experiment import ExperimentRunner
 from .sim.ftexec import RetryPolicy
-from .sim.machine import resume_benchmark, run_benchmark, run_wearing_benchmark
+from .sim.machine import run_benchmark, run_wearing_benchmark
 from .sim.parallel import run_grid, sweep_artifact
 from .sim.plan import (
     CELL_FIELDS,
@@ -149,6 +150,15 @@ _SWEEP_GRID_DEFAULTS = {
     "heaps": [CELL_FIELDS["heap"][1]],
     "seeds": [CELL_FIELDS["seed"][1]],
     **{name: CELL_FIELDS[name][1] for name in _SWEEP_FIXED_FLAGS},
+}
+
+#: ``sweep``'s grid flags -> the plan cell field each sets.
+_SWEEP_FIELDS = {
+    "--workloads": "workload",
+    "--rates": "rate",
+    "--heaps": "heap",
+    "--seeds": "seed",
+    **{"--" + name.replace("_", "-"): name for name in _SWEEP_FIXED_FLAGS},
 }
 
 #: ``bench``'s run-shape arguments -> the plan cell field each sets.
@@ -399,29 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-layer heap auditing: off, gc, upcall, or paranoid "
         "(default: the REPRO_VERIFY environment variable, else off)",
     )
-    bench.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default="BENCH_checkpoint.snap",
-        help="machine-snapshot path for --checkpoint-every "
-        "(default: %(default)s)",
-    )
-    bench.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="STEPS",
-        help="snapshot the whole simulated machine every N driver steps "
-        "(0 = off); the snapshot resumes with --resume-from",
-    )
-    bench.add_argument(
-        "--resume-from",
-        metavar="PATH",
-        default=None,
-        help="continue an interrupted run from a checkpoint snapshot; "
-        "the configuration travels inside the snapshot and the result "
-        "is bit-identical to an uninterrupted run",
-    )
     _add_observability_arguments(bench, directory=False)
     bench.add_argument(
         "--wear",
@@ -489,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         metavar="PATH",
         default=None,
-        help="continue an aging study from a lifetime snapshot (pass "
-        "the same strategy/workload/endurance arguments)",
+        help="continue an aging study from a lifetime snapshot; the "
+        "study must match the checkpoint's, only --iterations may differ",
     )
 
     sub.add_parser("workloads", help="list workloads")
@@ -603,6 +590,22 @@ def _build_retry_policy(args) -> Optional[RetryPolicy]:
             if args.retry_delay is not None
             else defaults.base_delay_s
         ),
+    )
+
+
+def _fault_tolerance_problems(args) -> tuple:
+    """``_usage_errors`` checks of the retry/timeout flags."""
+    retries, delay, timeout = args.retries, args.retry_delay, args.timeout
+    return (
+        retries is not None
+        and retries < 1
+        and f"--retries must be >= 1 attempt, got {retries}",
+        delay is not None
+        and not 0 <= delay < math.inf
+        and f"--retry-delay must be a finite number of seconds >= 0, got {delay}",
+        timeout is not None
+        and not 0 < timeout < math.inf
+        and f"--timeout must be a finite number of seconds > 0, got {timeout}",
     )
 
 
@@ -807,6 +810,14 @@ def cmd_figures(args) -> int:
     names = list(args.names)
     scale = args.scale
     seeds = list(args.seeds)
+    if _usage_errors(
+        "figures",
+        args,
+        # The plan precheck's checkers: both spellings accept the same.
+        {} if args.plan else {"--scale": "scale", "--seeds": "seed"},
+        *_fault_tolerance_problems(args),
+    ):
+        return 2
     if args.plan:
         conflicts = [
             "explicit figure names" if attribute == "names" else "--" + attribute
@@ -829,9 +840,6 @@ def cmd_figures(args) -> int:
         names = list(plan.figures)
         scale = plan.scale
         seeds = list(plan.seeds)
-    elif _usage_errors("figures", args, {"--scale": "scale", "--seeds": "seed"}):
-        # The plan precheck's checkers: both spellings accept the same.
-        return 2
     if names == ["all"] or "all" in names:
         names = list(_FIGURES)
     unknown = [n for n in names if n not in _FIGURES]
@@ -916,6 +924,13 @@ def _sweep_flags_plan(args) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if _usage_errors(
+        "sweep",
+        args,
+        {} if args.plan else _SWEEP_FIELDS,
+        *_fault_tolerance_problems(args),
+    ):
+        return 2
     # sweep's --progress is a flight-recorder listener.
     if _trace_conflicts(args, "progress"):
         return 2
@@ -940,8 +955,8 @@ def cmd_sweep(args) -> int:
             return 2
         obslog.info(f"plan: {plan.name} expands to {len(plan.cells)} cell(s)")
     else:
-        # Compiling the flags gives them the plan precheck: a bad value
-        # or a duplicate cell exits 2 before anything runs.
+        # The flags passed their cell checkers; compiling them adds the
+        # rest of the plan precheck (a duplicate cell exits 2).
         plan = expand(_sweep_flags_plan(args), source="<sweep flags>")
     grid = plan.cells
     if args.resume and (args.no_cache or not args.cache_dir):
@@ -1085,13 +1100,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    # A resumed run takes its shape, wear included, from the snapshot.
     if _usage_errors(
         "bench",
         args,
-        {} if args.resume_from else _BENCH_FIELDS,
-        args.checkpoint_every < 0
-        and f"--checkpoint-every must be >= 0 steps (0 = off), got {args.checkpoint_every}",
+        _BENCH_FIELDS,
         args.buffer < 1 and f"--buffer must be >= 1 event, got {args.buffer}",
         not 0 <= args.wear < math.inf
         and f"--wear must be >= 0 writes (0 = aged module), got {args.wear}",
@@ -1102,41 +1114,21 @@ def cmd_bench(args) -> int:
     if args.trace or args.jsonl or args.metrics_out:
         registry = MetricsRegistry()
         tracer = Tracer(capacity=args.buffer, metrics=registry)
-    checkpoint = None
-    if args.checkpoint_every > 0:
-        checkpoint = CheckpointPolicy(
-            args.checkpoint, every_steps=args.checkpoint_every
+    cell = {name: default for name, (_, default) in CELL_FIELDS.items()}
+    cell.update(
+        {field: getattr(args, _attribute(flag)) for flag, field in _BENCH_FIELDS.items()},
+        compensate=not args.no_compensate,
+        arraylets=args.arraylets,
+    )
+    config = cell_to_config(cell)
+    # Static failures come from an aged module; --wear adds the dynamic
+    # ones (failure buffer, OS upcall, evacuation).
+    if args.wear > 0:
+        result = run_wearing_benchmark(
+            config, args.wear, verify=args.verify_heap, tracer=tracer
         )
-    wear = 0.0 if args.resume_from else args.wear
-    if args.resume_from:
-        # The snapshot carries the RunConfig; flags describing the run
-        # shape are ignored so the continuation cannot diverge.
-        if args.verify_heap:
-            obslog.warn("--verify-heap does not apply when resuming; ignored")
-        result = resume_benchmark(
-            args.resume_from, tracer=tracer, checkpoint=checkpoint
-        )
-        config = result.config
     else:
-        cell = {name: default for name, (_, default) in CELL_FIELDS.items()}
-        cell.update(
-            {field: getattr(args, _attribute(flag)) for flag, field in _BENCH_FIELDS.items()},
-            compensate=not args.no_compensate,
-            arraylets=args.arraylets,
-        )
-        config = cell_to_config(cell)
-        # Static failures come from an aged module; --wear adds the
-        # dynamic ones (failure buffer, OS upcall, evacuation).
-        if wear > 0:
-            result = run_wearing_benchmark(
-                config, wear, verify=args.verify_heap, tracer=tracer,
-                checkpoint=checkpoint,
-            )
-        else:
-            result = run_benchmark(
-                config, verify=args.verify_heap, tracer=tracer,
-                checkpoint=checkpoint,
-            )
+        result = run_benchmark(config, verify=args.verify_heap, tracer=tracer)
     # The baseline exists only for the slowdown ratio; it is never
     # traced, so the trace holds exactly the measured run's events.
     baseline = run_benchmark(
@@ -1169,17 +1161,12 @@ def cmd_bench(args) -> int:
             result.phase_breakdown, result.time_units
         ):
             obslog.out(line)
-    if checkpoint is not None and checkpoint.emitted:
-        obslog.info(
-            f"checkpoints: {checkpoint.emitted} snapshot(s), last at "
-            f"{args.checkpoint} (resume with --resume-from)"
-        )
     if args.trace:
         from .obs.export import validate_chrome_trace, write_chrome_trace
 
         metadata = trace_metadata(config, result)
-        if wear > 0:
-            metadata["wear_mean_writes"] = wear
+        if args.wear > 0:
+            metadata["wear_mean_writes"] = args.wear
         payload = write_chrome_trace(tracer, args.trace, metadata=metadata)
         for problem in validate_chrome_trace(payload):
             obslog.warn(f"trace: {problem}")
@@ -1348,9 +1335,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         obslog.warn(f"{args.command}: {exc}")
         return 2
     except SnapshotError as exc:
-        # Unreadable/corrupt/stale checkpoint files are usage errors
-        # (bad --resume-from path, snapshot from edited sources), not
-        # crashes worth a traceback.
+        # Unreadable, corrupt, stale or foreign checkpoint files are
+        # usage errors (bad --resume path, snapshot from edited sources,
+        # a different study), not crashes worth a traceback.
         obslog.warn(f"snapshot: {exc}")
         return 2
     except BrokenPipeError:

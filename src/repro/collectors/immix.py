@@ -187,19 +187,6 @@ class ImmixCollector:
             else None
         )
 
-    def __getstate__(self) -> dict:
-        """Snapshot support: heap structure persists, wiring does not."""
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Re-solder the reindex callback: it is a bound method forming a
-        # cycle with the supply, so it is dropped by PageSupply's own
-        # __getstate__ rather than persisted.
-        self.supply.on_page_reindexed = self._reindex_page
-
     def _trace_block_acquired(self, kind: str) -> None:
         tr = self.tracer
         if tr is not None:

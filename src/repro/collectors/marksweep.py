@@ -93,12 +93,6 @@ class MarkSweepCollector:
         #: Optional observability hook; see :mod:`repro.obs.trace`.
         self.tracer = None
 
-    def __getstate__(self) -> dict:
-        """Snapshot support: heap structure persists, wiring does not."""
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        return state
-
     # ==================================================================
     # Allocation
     # ==================================================================

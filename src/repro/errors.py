@@ -44,13 +44,14 @@ class PinnedObjectError(ReproError):
 
 
 class SnapshotError(ReproError):
-    """A machine snapshot cannot be restored.
+    """A lifetime checkpoint cannot be resumed.
 
     Raised for corrupt or truncated snapshot files, integrity-hash
-    mismatches, unknown envelope versions, and snapshots taken by a
+    mismatches, unknown envelope versions, snapshots taken by a
     different simulator version (the code fingerprint baked into every
     snapshot must match the running sources — resuming across code
-    changes would silently break the bit-identity guarantee).
+    changes would silently break the bit-identity guarantee), and
+    checkpoints of a different study than the one resuming.
     """
 
 

@@ -219,9 +219,8 @@ class PcmModule:
         OS layer (or a caller-supplied closure), so persisting it would
         either drag an unrelated object graph into a module-only
         snapshot or fail outright on an unpicklable lambda. Restored
-        modules come back silent until the next owner rewires them —
-        ``OsMemoryManager.__init__`` and ``MachineSnapshot.restore``
-        both do.
+        modules come back silent until the next owner rewires them, as
+        ``OsMemoryManager.__init__`` does.
         """
         state = self.__dict__.copy()
         state["tracer"] = None

@@ -48,12 +48,6 @@ class LargeObjectSpace:
         #: Optional observability hook; see :mod:`repro.obs.trace`.
         self.tracer = None
 
-    def __getstate__(self) -> dict:
-        """Snapshot support: object placements persist, tracers do not."""
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        return state
-
     # ------------------------------------------------------------------
     def pages_needed(self, size: int) -> int:
         return (size + self.geometry.page - 1) // self.geometry.page

@@ -127,17 +127,6 @@ class PageSupply:
         self.fussy_pages_taken = 0
         self.los_span_claims = 0
 
-    def __getstate__(self) -> dict:
-        """Snapshot support: drop the reindex callback (collector wiring).
-
-        It is a bound method of the owning collector, which re-solders
-        it in its own ``__setstate__``; persisting it here would make a
-        supply-only pickle drag the whole collector graph along.
-        """
-        state = self.__dict__.copy()
-        state["on_page_reindexed"] = None
-        return state
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

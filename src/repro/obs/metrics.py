@@ -26,7 +26,6 @@ SWEEP_RETRIES_TOTAL = "repro_sweep_retries_total"
 SWEEP_TIMEOUTS_TOTAL = "repro_sweep_timeouts_total"
 SWEEP_CRASHES_TOTAL = "repro_sweep_worker_crashes_total"
 SWEEP_QUARANTINED_CELLS_TOTAL = "repro_sweep_quarantined_cells_total"
-SNAPSHOT_CHECKPOINTS_TOTAL = "repro_snapshot_checkpoints_total"
 
 #: Default histogram bucket upper bounds. Chosen to resolve both GC
 #: pauses in milliseconds (sub-ms nursery pauses through multi-second

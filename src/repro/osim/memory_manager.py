@@ -74,19 +74,6 @@ class OsMemoryManager:
         pcm._on_interrupt = self._on_interrupt
         self._absorb_static_failures()
 
-    def __getstate__(self) -> dict:
-        """Snapshot support: tables and pools persist, wiring does not.
-
-        The failure handler is a bound method of the runtime layer;
-        whoever restores the stack re-registers it (the VM does, in its
-        own ``__setstate__``), keeping the paper's protocol order —
-        handler first, imperfect memory second — intact on resume.
-        """
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        state["_handler"] = None
-        return state
-
     # ------------------------------------------------------------------
     def _absorb_static_failures(self) -> None:
         """Load the module's known failures in one batch (section 3.2.1).

@@ -93,12 +93,6 @@ class VmConfig:
                 f"(choose an immix collector)"
             )
 
-    def __getstate__(self) -> dict:
-        """Snapshot support: a tracer is process wiring, not config."""
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        return state
-
 
 class VirtualMachine:
     """A failure-aware managed runtime over simulated wearable memory."""
@@ -117,9 +111,8 @@ class VirtualMachine:
         self._roots: Dict[int, SimObject] = {}
         self._pending_failure_gc = False
         self._displaced: List[SimObject] = []
-        # Resolved policy objects travel with the machine (snapshots
-        # capture them); _retire_pages folds the DRAM-era flag and the
-        # MigrantStore-style pool policy into one whole-page switch.
+        # _retire_pages folds the DRAM-era flag and the MigrantStore-
+        # style pool policy into one whole-page switch.
         self.wear_policy, self.pool_policy, self.placement_policy = policy_triple(
             config.wear_policy, config.pool_policy, config.placement_policy
         )
@@ -150,44 +143,6 @@ class VirtualMachine:
         self._audit_alloc = (
             self.auditor.after_alloc if self.auditor.level == "paranoid" else None
         )
-
-    # ------------------------------------------------------------------
-    # Snapshot support (see repro.sim.snapshot)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Serialize the machine, not its observability wiring.
-
-        Tracers hold open sinks and clock closures; every layer drops
-        its own reference, and a restored machine comes back silent.
-        Use :meth:`attach_tracer` to resume observability.
-        """
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Restore the cooperation wiring the per-layer __getstate__
-        # hooks dropped, in the paper's protocol order: the runtime
-        # handler is registered before the hardware interrupt line is
-        # re-soldered into the OS, so no upcall can ever fire into an
-        # unhandled manager.
-        self.os.register_failure_handler(self._on_failure_upcall)
-        self.injector.pcm._on_interrupt = self.os._on_interrupt
-
-    def attach_tracer(self, tracer: Tracer) -> None:
-        """(Re)wire a tracer through all three layers of a built machine.
-
-        Snapshots never persist tracers, so a restored machine is
-        silent until the caller attaches a fresh one.
-        """
-        self.tracer = tracer
-        self.config.tracer = tracer
-        tracer.bind_clock(lambda: self.cost_model.total_time(self.stats))
-        self.injector.pcm.set_tracer(tracer)
-        self.os.tracer = tracer
-        self.collector.tracer = tracer
-        self.collector.los.tracer = tracer
 
     def _wire_tracer(self) -> None:
         """Push the tracer into every instrumented layer."""

@@ -17,7 +17,7 @@ They answer the paper's discussion-section questions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 from ..errors import OutOfMemoryError, ReproError, SnapshotError
@@ -91,9 +91,12 @@ def run_lifetime(
     ``checkpoint`` snapshots the aging module (and the records so far)
     every N completed iterations — the natural suspension points, since
     each iteration rebuilds its VM from the module's wear state.
-    ``resume_from`` continues a checkpointed study; the caller must
-    pass the same spec and parameters, and the completed study is then
-    bit-identical to an uninterrupted one.
+    ``resume_from`` continues a checkpointed study; the completed study
+    is then bit-identical to an uninterrupted one. The checkpoint names
+    its study (every argument but the horizon, the checkpointing ones
+    and the label), and a resume with any other raises
+    :class:`~repro.errors.SnapshotError`; only ``max_iterations`` may
+    change.
     """
     geometry = geometry or Geometry()
     if spec.mutations_per_object <= 0:
@@ -107,6 +110,19 @@ def run_lifetime(
     heap = (heap + block - 1) // block * block
     region = geometry.region
     pcm_bytes = (heap + region - 1) // region * region + region
+    study = {
+        "workload": spec.name,
+        "total_alloc_bytes": spec.total_alloc_bytes,
+        "mutations_per_object": spec.mutations_per_object,
+        "heap_multiplier": heap_multiplier,
+        "geometry": asdict(geometry),
+        "wear_leveler": type(wear_leveler or NoWearLeveling()).__name__,
+        "clustering": clustering,
+        "endurance_mean_writes": endurance_mean_writes,
+        "endurance_cv": endurance_cv,
+        "seed": seed,
+        "page_retirement": page_retirement,
+    }
     if resume_from is not None:
         snapshot = (
             MachineSnapshot.load(resume_from)
@@ -117,6 +133,13 @@ def run_lifetime(
             raise SnapshotError(
                 f"expected a 'lifetime' snapshot, found {snapshot.kind!r}"
             )
+        saved = snapshot.meta.get("study", {})
+        for name, value in study.items():
+            if saved.get(name) != value:
+                raise SnapshotError(
+                    f"the checkpoint is of a different study: its {name} is "
+                    f"{saved.get(name)!r}, this run's is {value!r}"
+                )
         pcm, result, start_iteration = snapshot.restore()
     else:
         pcm = PcmModule(
@@ -167,7 +190,11 @@ def run_lifetime(
             checkpoint.checkpoint(
                 (pcm, result, iteration + 1),
                 kind="lifetime",
-                meta={"label": result.label, "iteration": iteration + 1},
+                meta={
+                    "label": result.label,
+                    "iteration": iteration + 1,
+                    "study": study,
+                },
             )
     result.final_failed_fraction = pcm.failed_fraction()
     from ..hardware.wear_leveling import spread_statistics

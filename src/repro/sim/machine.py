@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from typing import Callable, Dict, Optional, TypeVar
 
-from ..errors import OutOfMemoryError, SnapshotError
+from ..errors import OutOfMemoryError
 from ..faults.generator import FailureModel
 from ..faults.injector import FaultInjector
 from ..hardware.geometry import Geometry
 from ..hardware.pcm import EnduranceModel, PcmModule
-from ..obs.metrics import SNAPSHOT_CHECKPOINTS_TOTAL
 from ..policies import resolve_pool_policy, resolve_wear_policy
 from ..obs.trace import Tracer
 from ..runtime.time_model import DEFAULT_COST_MODEL, CostModel
@@ -24,7 +23,6 @@ from ..runtime.vm import VirtualMachine, VmConfig
 from ..workloads.dacapo import workload
 from ..workloads.driver import TraceDriver, estimate_min_heap
 from ..workloads.spec import WorkloadSpec
-from .snapshot import CheckpointPolicy, MachineSnapshot
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,6 @@ def run_benchmark(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     verify: Optional[str] = None,
     tracer: Optional[Tracer] = None,
-    checkpoint: Optional[CheckpointPolicy] = None,
 ) -> RunResult:
     """Execute one benchmark invocation; never raises on heap exhaustion.
 
@@ -160,11 +157,6 @@ def run_benchmark(
     layers; the result then carries a per-phase time breakdown. Also
     kept out of :class:`RunConfig`: tracing never changes behaviour, so
     traced and untraced results are interchangeable.
-
-    ``checkpoint`` emits a :class:`~repro.sim.snapshot.MachineSnapshot`
-    of the whole stack every N driver steps; an interrupted run resumes
-    from the latest one via :func:`resume_benchmark` with a result
-    bit-identical to never having stopped.
     """
     geometry = config.geometry()
     spec = config.spec()
@@ -187,44 +179,7 @@ def run_benchmark(
     vm = VirtualMachine(vm_config, cost_model=cost_model)
     driver = TraceDriver(spec, config.seed)
     return _drive_and_summarize(
-        vm, driver, config, cost_model, min_heap, heap, tracer, checkpoint
-    )
-
-
-@machine_scope
-def resume_benchmark(
-    snapshot: "MachineSnapshot | str",
-    tracer: Optional[Tracer] = None,
-    checkpoint: Optional[CheckpointPolicy] = None,
-    check_fingerprint: bool = True,
-) -> RunResult:
-    """Continue an interrupted benchmark from a checkpoint snapshot.
-
-    The snapshot carries the machine, the driver, and the run's
-    :class:`RunConfig` (cost model included, pickled inside the VM), so
-    the continuation needs no caller-supplied configuration — and
-    cannot accidentally diverge from the original. The returned
-    :class:`RunResult` is bit-identical to an uninterrupted run's.
-    """
-    if isinstance(snapshot, str):
-        snapshot = MachineSnapshot.load(snapshot)
-    if snapshot.kind != "bench":
-        raise SnapshotError(
-            f"expected a 'bench' snapshot, found {snapshot.kind!r}"
-        )
-    vm, driver, config = snapshot.restore(check_fingerprint=check_fingerprint)
-    if tracer is not None:
-        vm.attach_tracer(tracer)
-    min_heap = min_heap_bytes(config)
-    return _drive_and_summarize(
-        vm,
-        driver,
-        config,
-        vm.cost_model,
-        min_heap,
-        vm.config.heap_bytes,
-        tracer,
-        checkpoint,
+        vm, driver, config, cost_model, min_heap, heap, tracer
     )
 
 
@@ -236,22 +191,12 @@ def _drive_and_summarize(
     min_heap: int,
     heap: int,
     tracer: Optional[Tracer],
-    checkpoint: Optional[CheckpointPolicy] = None,
 ) -> RunResult:
-    """Drive the workload over a built VM and summarize the outcome.
-
-    The driver may arrive mid-trace (a snapshot restore); a fresh one
-    is started here. Checkpoints land only between steps, where the
-    event stream is deterministic across save/restore.
-    """
+    """Drive the workload over a built VM and summarize the outcome."""
     completed = True
     note = ""
     try:
-        if driver.state is None:
-            driver.begin()
-        while driver.step(vm):
-            if checkpoint is not None and checkpoint.due(driver.state.steps):
-                _emit_checkpoint(vm, driver, config, checkpoint)
+        driver.run(vm)
         vm.auditor.final()
     except OutOfMemoryError as exc:
         completed = False
@@ -283,37 +228,6 @@ def _drive_and_summarize(
     )
 
 
-def _emit_checkpoint(
-    vm: VirtualMachine,
-    driver: TraceDriver,
-    config: RunConfig,
-    checkpoint: CheckpointPolicy,
-) -> None:
-    steps = driver.state.steps
-    checkpoint.checkpoint(
-        (vm, driver, config),
-        kind="bench",
-        meta={
-            "workload": config.workload,
-            "seed": config.seed,
-            "step": steps,
-            "wear_policy": config.wear_policy,
-            "pool_policy": config.pool_policy,
-            "placement_policy": config.placement_policy,
-        },
-    )
-    tr = vm.tracer
-    if tr is not None:
-        tr.instant(
-            "snapshot.checkpoint",
-            cat="sim",
-            args={"step": steps, "path": checkpoint.path},
-        )
-        tr.metrics.counter(
-            SNAPSHOT_CHECKPOINTS_TOTAL, "machine snapshots written"
-        ).inc()
-
-
 @machine_scope
 def run_wearing_benchmark(
     config: RunConfig,
@@ -321,7 +235,6 @@ def run_wearing_benchmark(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     verify: Optional[str] = None,
     tracer: Optional[Tracer] = None,
-    checkpoint: Optional[CheckpointPolicy] = None,
 ) -> RunResult:
     """One run on a *wearing* module, so dynamic failures arrive mid-run.
 
@@ -386,5 +299,5 @@ def run_wearing_benchmark(
     vm = VirtualMachine(vm_config, injector=injector, cost_model=cost_model)
     driver = TraceDriver(spec, config.seed)
     return _drive_and_summarize(
-        vm, driver, config, cost_model, min_heap, heap, tracer, checkpoint
+        vm, driver, config, cost_model, min_heap, heap, tracer
     )

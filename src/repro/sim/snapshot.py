@@ -1,24 +1,15 @@
-"""Versioned machine snapshots: suspend and resume the whole stack.
+"""Versioned snapshots: suspend and resume a lifetime study.
 
-The lifetime argument of the paper rests on very long simulated
-horizons; a run that cannot survive a crash — or be suspended — caps
-how far those horizons can stretch. A :class:`MachineSnapshot`
-serializes the full cooperative stack at a step boundary of the trace
-driver: PCM cell wear and the failure buffer, the OS failure tables,
-page pools and ownership, and the collector's heap including line
-states and object extents. Restoring yields a machine whose continued
-run is bit-identical to one that was never interrupted (the
-round-trip property tests in ``tests/sim/test_snapshot.py`` and the
-``snapshot-coherence`` checker in :mod:`repro.check.invariants` both
-enforce this).
-
-Serialization piggybacks on pickle because the heap is an object
-*graph*, not a tree: a single :class:`~repro.heap.page_supply.HeapPage`
-is shared between a span, a block, the OS page directory and the LOS,
-and the pending-death heap of the driver references live head objects
-by identity. Pickle preserves that sharing natively; every layer
-defines ``__getstate__`` hooks that strip process wiring (tracers,
-interrupt callbacks, upcall handlers) and re-solder it on restore.
+The paper's lifetime study (section 7.2) ages one PCM module over many
+workload iterations, the one experiment with a horizon long enough to
+be worth suspending. Each iteration builds a fresh machine over the
+module, so an iteration boundary holds no heap, OS or runtime state:
+a lifetime checkpoint pickles only the aging module (cell wear, the
+failure buffer, clustering maps and the wear leveler), the records so
+far and the next iteration. The module's pickling hooks drop process
+wiring (tracers, the interrupt line) and re-solder it on restore. Restoring yields a study whose continuation is bit-identical
+to one that was never interrupted (``tests/sim/test_snapshot.py`` and
+the policy contract's lifetime round-trip enforce this).
 
 On disk a snapshot is a small versioned envelope::
 
@@ -65,10 +56,10 @@ class MachineSnapshot:
     """An immutable, restorable image of simulator state.
 
     ``capture`` serializes immediately — a snapshot holds bytes, not
-    live references, so the captured machine can keep running without
+    live references, so the captured state can keep changing without
     perturbing the image. ``state`` is whatever object graph the caller
-    wants back (the bench path uses ``(vm, driver)``; the lifetime path
-    uses the aging PCM module plus its records).
+    wants back; a lifetime study saves the aging PCM module, its records
+    and the next iteration.
     """
 
     __slots__ = ("kind", "meta", "fingerprint", "_blob")
@@ -86,20 +77,15 @@ class MachineSnapshot:
     # ------------------------------------------------------------------
     @classmethod
     def capture(
-        cls, state: Any, kind: str = "bench", meta: Optional[dict] = None
+        cls, state: Any, kind: str = "lifetime", meta: Optional[dict] = None
     ) -> "MachineSnapshot":
         """Serialize ``state`` now; the live objects are not retained."""
         blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
         return cls(kind=kind, meta=dict(meta or {}), blob=blob)
 
     def restore(self, check_fingerprint: bool = True) -> Any:
-        """Materialize the captured state graph.
-
-        Every restored object passes through its layer's
-        ``__setstate__`` hook, so the cooperation wiring (interrupt
-        line, failure-upcall handler) comes back soldered and in the
-        paper's protocol order.
-        """
+        """Materialize the captured state graph, after checking that the
+        running sources are the ones that captured it."""
         if check_fingerprint:
             current = _code_fingerprint()
             if self.fingerprint != current:
@@ -164,7 +150,7 @@ class MachineSnapshot:
         if len(blob) != header.get("raw_bytes"):
             raise SnapshotError("snapshot payload length mismatch")
         return cls(
-            kind=header.get("kind", "bench"),
+            kind=header.get("kind", ""),
             meta=header.get("meta", {}),
             blob=blob,
             fingerprint=header.get("fingerprint", ""),
@@ -202,10 +188,10 @@ class MachineSnapshot:
 
 
 class CheckpointPolicy:
-    """Emit a snapshot every N driver steps (0 disables).
+    """Emit a snapshot every N completed lifetime iterations (0 disables).
 
-    One driver step is one cohort, so checkpoints land only at the
-    step boundaries where a restored run replays bit-for-bit.
+    An iteration boundary is the only point where a lifetime study
+    holds no live machine, so a restored study replays bit-for-bit.
     """
 
     def __init__(self, path: str, every_steps: int = 0) -> None:
@@ -215,11 +201,11 @@ class CheckpointPolicy:
         self.every_steps = every_steps
         self.emitted = 0
 
-    def due(self, steps: int) -> bool:
-        return self.every_steps > 0 and steps > 0 and steps % self.every_steps == 0
+    def due(self, done: int) -> bool:
+        return self.every_steps > 0 and done > 0 and done % self.every_steps == 0
 
     def checkpoint(
-        self, state: Any, kind: str = "bench", meta: Optional[dict] = None
+        self, state: Any, kind: str = "lifetime", meta: Optional[dict] = None
     ) -> MachineSnapshot:
         snapshot = MachineSnapshot.capture(state, kind=kind, meta=meta)
         snapshot.save(self.path)
@@ -228,15 +214,14 @@ class CheckpointPolicy:
 
 
 # ----------------------------------------------------------------------
-# State digest (snapshot-coherence checker support)
+# State digest (policy-contract determinism support)
 # ----------------------------------------------------------------------
 def machine_digest(vm) -> str:
     """A stable digest of everything observable about a machine.
 
-    Built from canonically ordered observables rather than the pickle
+    Built from canonically ordered observables rather than pickle
     bytes: the collector's remembered set is a genuine ``set`` whose
-    iteration order varies between otherwise identical machines, so
-    byte-level comparison of pickles would flag healthy round-trips.
+    iteration order varies between otherwise identical machines.
     Two machines with equal digests produce the same continued run.
     """
     pcm = vm.injector.pcm
@@ -246,8 +231,8 @@ def machine_digest(vm) -> str:
     if table is not None:
         # The structure-of-arrays heap state, digested wholesale: the
         # flat line/failure arrays are the ground truth every kernel
-        # reads, so a restore that perturbed a single byte (or the slot
-        # bookkeeping around them) flips this digest.
+        # reads, so a single changed byte (or slot bookkeeping around
+        # them) flips this digest.
         heap_table = {
             "lines": hashlib.sha256(bytes(table.lines)).hexdigest(),
             "fail_marks": hashlib.sha256(bytes(table.fail_marks)).hexdigest(),

@@ -98,167 +98,74 @@ class DriveResult:
     expired_cohorts: int
 
 
-class DriverState:
-    """The full resumable state of one driven workload iteration.
-
-    Everything the trace driver knows between cohorts lives here, so a
-    snapshot taken at a step boundary (one cohort = one step) restores
-    to the exact event stream an uninterrupted run would produce: the
-    seeded generator, the allocation clock, and the pending-death heap
-    (which references live head objects by identity) all round-trip
-    through pickle.
-    """
-
-    __slots__ = (
-        "rng",
-        "phase",
-        "clock",
-        "immortal",
-        "cohorts",
-        "expired",
-        "objects",
-        "pending",
-        "sequence",
-        "mutation_budget",
-        "steps",
-    )
-
-    #: Phases of a run, in order.
-    IMMORTAL = "immortal"
-    CHURN = "churn"
-    DONE = "done"
-
-    def __init__(self, rng: random.Random) -> None:
-        self.rng = rng
-        self.phase = self.IMMORTAL
-        self.clock = 0
-        self.immortal = 0
-        self.cohorts = 0
-        self.expired = 0
-        self.objects = 0
-        # (death_clock, sequence, head) — sequence breaks ties.
-        self.pending: List[tuple] = []
-        self.sequence = 0
-        self.mutation_budget = 0.0
-        #: Completed step() calls; checkpoint policies key off this.
-        self.steps = 0
-
-
 class TraceDriver:
-    """Drives a sink through one iteration of a workload.
-
-    The driver is a resumable state machine: :meth:`begin` initializes
-    a :class:`DriverState`, each :meth:`step` emits one cohort of
-    allocations (returning False once the trace is exhausted), and
-    :meth:`result` summarizes. :meth:`run` is the one-shot convenience
-    wrapper and produces an event stream identical to stepping manually,
-    so a run checkpointed between steps and resumed elsewhere replays
-    bit-for-bit.
-    """
+    """Drives a sink through one iteration of a workload."""
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0) -> None:
         self.spec = spec
         self.seed = seed
-        self.state: Optional[DriverState] = None
 
-    # ------------------------------------------------------------------
-    def begin(self) -> DriverState:
-        """Start (or restart) the trace; returns the fresh state."""
-        self.state = DriverState(trace_rng(self.spec, self.seed))
-        return self.state
-
-    @property
-    def done(self) -> bool:
-        return self.state is not None and self.state.phase == DriverState.DONE
-
-    def step(self, sink) -> bool:
-        """Advance by one cohort; False when the trace is exhausted."""
-        state = self.state
-        if state is None:
-            raise RuntimeError("call begin() before step()")
-        if state.phase == DriverState.IMMORTAL:
-            self._step_immortal(state, sink)
-        elif state.phase == DriverState.CHURN:
-            if state.clock >= self.spec.total_alloc_bytes:
-                state.phase = DriverState.DONE
-            else:
-                self._step_churn(state, sink)
-        if state.phase == DriverState.DONE:
-            return False
-        state.steps += 1
-        return True
-
-    def _step_immortal(self, state: DriverState, sink) -> None:
-        """One immortal cohort: rooted once, never removed."""
+    def run(self, sink) -> DriveResult:
+        """Drive the whole trace: immortal cohorts, then churn cohorts
+        until the allocation clock reaches the workload's volume."""
         spec = self.spec
-        if state.immortal >= spec.immortal_bytes:
-            state.clock += state.immortal
-            state.phase = DriverState.CHURN
-            return
-        sizes, footprints = draw_immortal_cohort(spec, state.rng, state.immortal)
-        cohort = zip(sizes, footprints)
-        head_size, footprint = next(cohort)
-        head = sink.alloc(head_size)
-        sink.add_root(head)
-        state.immortal += footprint
-        state.objects += 1
-        for size, footprint in cohort:
-            sink.add_ref(head, sink.alloc(size))
-            state.immortal += footprint
-            state.objects += 1
-
-    def _step_churn(self, state: DriverState, sink) -> None:
-        """One churn cohort with a sampled lifetime."""
-        spec = self.spec
-        pending = state.pending
-        while pending and pending[0][0] <= state.clock:
-            _, _, dead_head = heapq.heappop(pending)
-            sink.remove_root(dead_head)
-            state.expired += 1
-        lifetime, sizes, footprints, pinned = draw_churn_cohort(
-            spec, state.rng, state.clock
-        )
-        cohort = zip(sizes, footprints, pinned)
-        head_size, footprint, _ = next(cohort)
-        head = sink.alloc(head_size)
-        sink.add_root(head)
-        state.clock += footprint
-        state.objects += 1
-        state.cohorts += 1
-        heapq.heappush(pending, (state.clock + lifetime, state.sequence, head))
-        state.sequence += 1
+        rng = trace_rng(spec, self.seed)
         alloc = sink.alloc
         add_ref = sink.add_ref
+        add_root = sink.add_root
+        objects = 0
+        # Immortal cohorts: rooted once, never removed.
+        immortal = 0
+        while immortal < spec.immortal_bytes:
+            sizes, footprints = draw_immortal_cohort(spec, rng, immortal)
+            cohort = zip(sizes, footprints)
+            head_size, footprint = next(cohort)
+            head = alloc(head_size)
+            add_root(head)
+            immortal += footprint
+            objects += 1
+            for size, footprint in cohort:
+                add_ref(head, alloc(size))
+                immortal += footprint
+                objects += 1
+        # Churn cohorts, each with a sampled lifetime.
+        clock = immortal
+        total = spec.total_alloc_bytes
         mutations = spec.mutations_per_object
-        for size, footprint, pin in cohort:
-            child = alloc(size, pin)
-            add_ref(head, child)
-            state.clock += footprint
-            state.objects += 1
-            if mutations > 0:
-                state.mutation_budget += mutations
-                while state.mutation_budget >= 1.0:
-                    sink.mutate(child)
-                    state.mutation_budget -= 1.0
-
-    def result(self) -> DriveResult:
-        state = self.state
-        if state is None:
-            raise RuntimeError("the driver never ran")
+        mutation_budget = 0.0
+        cohorts = expired = 0
+        # (death_clock, sequence, head) -- the cohort number breaks ties.
+        pending: List[tuple] = []
+        while clock < total:
+            while pending and pending[0][0] <= clock:
+                _, _, dead_head = heapq.heappop(pending)
+                sink.remove_root(dead_head)
+                expired += 1
+            lifetime, sizes, footprints, pinned = draw_churn_cohort(spec, rng, clock)
+            cohort = zip(sizes, footprints, pinned)
+            head_size, footprint, _ = next(cohort)
+            head = alloc(head_size)
+            add_root(head)
+            clock += footprint
+            objects += 1
+            heapq.heappush(pending, (clock + lifetime, cohorts, head))
+            cohorts += 1
+            for size, footprint, pin in cohort:
+                child = alloc(size, pin)
+                add_ref(head, child)
+                clock += footprint
+                objects += 1
+                if mutations > 0:
+                    mutation_budget += mutations
+                    while mutation_budget >= 1.0:
+                        sink.mutate(child)
+                        mutation_budget -= 1.0
         return DriveResult(
-            allocated_objects=state.objects,
-            allocated_bytes=state.clock,
-            cohorts=state.cohorts,
-            expired_cohorts=state.expired,
+            allocated_objects=objects,
+            allocated_bytes=clock,
+            cohorts=cohorts,
+            expired_cohorts=expired,
         )
-
-    # ------------------------------------------------------------------
-    def run(self, sink) -> DriveResult:
-        """Drive the whole trace in one call (fresh start)."""
-        self.begin()
-        while self.step(sink):
-            pass
-        return self.result()
 
 
 def estimate_min_heap(

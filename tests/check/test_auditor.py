@@ -200,7 +200,7 @@ class TestDetection:
         vm = make_vm()
         report = audit_vm(vm, "final")
         assert report.ok, report.render()
-        assert report.checks_run == 11
+        assert report.checks_run == 10
 
     def test_masked_failed_line(self):
         vm = make_vm()

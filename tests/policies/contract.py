@@ -20,9 +20,9 @@ The contracts:
 * **Page-count conservation** — pool policies may move pages between
   the perfect/imperfect/allocated populations but never create, leak,
   or double-book a physical page.
-* **Snapshot round-trip** — policy state travels inside machine
-  snapshots: a checkpointed-and-resumed run is bit-identical to an
-  uninterrupted one, and the envelope meta names the policy triple.
+* **Lifetime checkpoint round-trip** — a wear policy's leveler state
+  travels inside lifetime checkpoints: a checkpointed-and-resumed study
+  is bit-identical to an uninterrupted one.
 """
 
 import json
@@ -37,7 +37,6 @@ from repro.policies import (
     policy_triple,
 )
 from repro.runtime.vm import VirtualMachine, VmConfig
-from repro.sim.cache import result_to_dict
 from repro.sim.snapshot import machine_digest
 from repro.units import KiB, MiB
 from repro.workloads.driver import TraceDriver
@@ -257,33 +256,39 @@ def check_machine_determinism(wear, pool, placement):
     )
 
 
-def check_snapshot_round_trip(wear, pool, placement, tmp_path):
-    from repro.sim.machine import RunConfig, resume_benchmark, run_benchmark
-    from repro.sim.snapshot import CheckpointPolicy, MachineSnapshot
+def check_lifetime_checkpoint_round_trip(name, tmp_path):
+    """A lifetime study under ``name``'s leveler, checkpointed and then
+    resumed, ends bit-identical to the uninterrupted study: the
+    leveler's state travels inside the checkpoint with the module."""
+    import dataclasses
 
-    config = RunConfig(
-        workload="luindex",
-        scale=0.05,
-        seed=0,
-        # Clustered damage, so whole-page-retiring pool policies still
-        # complete (a DNF run can end before the first checkpoint).
-        failure_model=FailureModel(rate=0.10, hw_region_pages=2),
-        wear_policy=wear,
-        pool_policy=pool,
-        placement_policy=placement,
+    from repro.policies import resolve_wear_policy
+    from repro.sim.lifetime import run_lifetime, write_heavy
+    from repro.sim.snapshot import CheckpointPolicy, MachineSnapshot
+    from repro.workloads.dacapo import workload
+
+    spec = write_heavy(workload("luindex"), mutations_per_object=2.0)
+    spec = dataclasses.replace(spec, total_alloc_bytes=300_000)
+    policy = resolve_wear_policy(name)
+
+    def study(**kwargs):
+        leveler = policy.build_leveler(Geometry(), 0)
+        return run_lifetime(
+            spec, wear_leveler=leveler, endurance_mean_writes=30.0,
+            max_iterations=4, seed=0, **kwargs
+        )
+
+    path = str(tmp_path / f"{name}.snap")
+    uninterrupted = study()
+    # Checkpointed once, after iteration 3 of 4, so the resume has an
+    # iteration left to run on the restored module and leveler.
+    interrupted = study(checkpoint=CheckpointPolicy(path, every_steps=3))
+    assert MachineSnapshot.load(path).meta["iteration"] == 3, (
+        f"{name}: the study ended before its checkpoint"
     )
-    uninterrupted = run_benchmark(config)
-    path = str(tmp_path / f"{wear}-{pool}-{placement}.snap")
-    interrupted = run_benchmark(
-        config, checkpoint=CheckpointPolicy(path, every_steps=3)
-    )
-    snapshot = MachineSnapshot.load(path)
-    assert snapshot.meta["wear_policy"] == wear
-    assert snapshot.meta["pool_policy"] == pool
-    assert snapshot.meta["placement_policy"] == placement
-    resumed = resume_benchmark(snapshot)
-    canonical = lambda r: json.dumps(result_to_dict(r), sort_keys=True)  # noqa: E731
+    resumed = study(resume_from=path)
+    canonical = lambda r: json.dumps(dataclasses.asdict(r), sort_keys=True)  # noqa: E731
     assert canonical(interrupted) == canonical(uninterrupted)
     assert canonical(resumed) == canonical(uninterrupted), (
-        f"({wear}/{pool}/{placement}): resume from checkpoint diverged"
+        f"{name}: resume from checkpoint diverged"
     )

@@ -56,14 +56,6 @@ class TestTripleContract:
         contract.check_machine_determinism(wear, pool, placement)
 
 
-#: Snapshot round-trips run two full benchmarks per triple; the default
-#: and the all-non-default triple bound the policy state space.
-SNAPSHOT_TRIPLES = [
-    contract.registered_triples()[0],
-    contract.registered_triples()[-1],
-]
-
-
-@pytest.mark.parametrize("wear,pool,placement", SNAPSHOT_TRIPLES, ids=triple_ids)
-def test_snapshot_round_trip(wear, pool, placement, tmp_path):
-    contract.check_snapshot_round_trip(wear, pool, placement, tmp_path)
+@pytest.mark.parametrize("name", contract.registered_wear_policies())
+def test_lifetime_checkpoint_round_trip(name, tmp_path):
+    contract.check_lifetime_checkpoint_round_trip(name, tmp_path)

@@ -10,13 +10,7 @@ from repro.check import campaign
 from repro.faults.generator import FailureModel
 from repro.obs.trace import Tracer
 from repro.sim import machine
-from repro.sim.machine import (
-    RunConfig,
-    resume_benchmark,
-    run_benchmark,
-    run_wearing_benchmark,
-)
-from repro.sim.snapshot import CheckpointPolicy
+from repro.sim.machine import RunConfig, run_benchmark, run_wearing_benchmark
 
 COLLECTORS = ("sticky-immix", "marksweep")
 
@@ -72,15 +66,6 @@ class TestMachineIsFreedOnReturn:
         # The tracer outlives the machine and still reads the run's end.
         assert tracer.clock() == result.time_units
         assert len(tracer) > 0
-
-    @pytest.mark.parametrize("collector", COLLECTORS)
-    def test_checkpointing_and_resumed(self, machines, collector, tmp_path):
-        snap = str(tmp_path / "ck.snap")
-        run_benchmark(small(collector), checkpoint=CheckpointPolicy(snap, 3))
-        assert machines[-1]() is None
-        resume_benchmark(snap, tracer=Tracer())
-        assert len(machines) == 2
-        assert machines[-1]() is None
 
     @pytest.mark.parametrize("collector", COLLECTORS)
     def test_wearing(self, machines, collector):

@@ -1,23 +1,20 @@
-"""Tests for machine snapshots (sim/snapshot.py).
+"""Tests for lifetime checkpoints (sim/snapshot.py).
 
-The contract under test is the tentpole one: a run checkpointed at an
-arbitrary step boundary and resumed from the snapshot file produces a
-``RunResult`` whose serialized form is **bit-identical** to an
-uninterrupted run's.
+The contract under test: a lifetime study checkpointed at an iteration
+boundary and resumed from the snapshot file ends bit-identical to an
+uninterrupted study, and the envelope refuses anything it cannot
+vouch for (bad bytes, other sources, another kind or another study).
 """
 
-import json
+import dataclasses
 import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import SnapshotError
 from repro.faults.generator import FailureModel
-from repro.sim.cache import result_to_dict
 from repro.sim.lifetime import run_lifetime, write_heavy
-from repro.sim.machine import RunConfig, resume_benchmark, run_benchmark
+from repro.sim.machine import RunConfig
 from repro.sim.snapshot import (
     SNAPSHOT_MAGIC,
     CheckpointPolicy,
@@ -25,20 +22,6 @@ from repro.sim.snapshot import (
     machine_digest,
 )
 from repro.workloads.dacapo import workload
-
-
-def tiny_config(seed=0, rate=0.10, collector="sticky-immix"):
-    return RunConfig(
-        workload="luindex",
-        scale=0.05,
-        seed=seed,
-        collector=collector,
-        failure_model=FailureModel(rate=rate),
-    )
-
-
-def canonical(result):
-    return json.dumps(result_to_dict(result), sort_keys=True)
 
 
 class TestEnvelope:
@@ -88,36 +71,17 @@ class TestEnvelope:
             MachineSnapshot.load(str(tmp_path / "absent.snap"))
 
 
-class TestCapturePurity:
-    def test_capture_leaves_machine_unchanged(self):
-        from repro.runtime.vm import VirtualMachine, VmConfig
-        from repro.sim.machine import min_heap_bytes
-        from repro.workloads.driver import TraceDriver
-
-        config = tiny_config()
-        heap = int(min_heap_bytes(config) * config.heap_multiplier)
-        vm = VirtualMachine(
-            VmConfig(
-                heap_bytes=heap,
-                failure_model=config.failure_model,
-                seed=config.seed,
-            )
-        )
-        driver = TraceDriver(config.spec(), config.seed)
-        driver.begin()
-        for _ in range(3):
-            driver.step(vm)
-        before = machine_digest(vm)
-        MachineSnapshot.capture((vm, driver), kind="bench")
-        assert machine_digest(vm) == before
-
-
-def mid_run_machine(seed=0, rate=0.10, steps=5):
+def driven_machine(seed=0, rate=0.10):
     from repro.runtime.vm import VirtualMachine, VmConfig
     from repro.sim.machine import min_heap_bytes
     from repro.workloads.driver import TraceDriver
 
-    config = tiny_config(seed=seed, rate=rate)
+    config = RunConfig(
+        workload="luindex",
+        scale=0.05,
+        seed=seed,
+        failure_model=FailureModel(rate=rate),
+    )
     heap = int(min_heap_bytes(config) * config.heap_multiplier)
     vm = VirtualMachine(
         VmConfig(
@@ -126,47 +90,15 @@ def mid_run_machine(seed=0, rate=0.10, steps=5):
             seed=config.seed,
         )
     )
-    driver = TraceDriver(config.spec(), config.seed)
-    driver.begin()
-    for _ in range(steps):
-        driver.step(vm)
-    return vm, driver
+    TraceDriver(config.spec(), config.seed).run(vm)
+    return vm
 
 
 class TestSoaHeapState:
-    """The whole-heap SoA arrays through capture/digest/restore."""
-
-    @settings(max_examples=5, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2),
-        rate=st.sampled_from([0.0, 0.25]),
-        steps=st.integers(min_value=2, max_value=7),
-    )
-    def test_restore_preserves_heap_table_exactly(self, seed, rate, steps):
-        vm, driver = mid_run_machine(seed=seed, rate=rate, steps=steps)
-        snapshot = MachineSnapshot.capture((vm, driver), kind="bench")
-        restored_vm, _ = snapshot.restore()
-        table = vm.collector.table
-        clone = restored_vm.collector.table
-        assert bytes(clone.lines) == bytes(table.lines)
-        assert bytes(clone.fail_marks) == bytes(table.fail_marks)
-        assert clone.active_slots() == table.active_slots()
-        assert clone._free_slots == table._free_slots
-        assert machine_digest(restored_vm) == machine_digest(vm)
-
-    def test_restore_resolders_segment_sharing(self):
-        # Pickle must keep every block's view aimed at the one shared
-        # table — a copy per block would silently fork the heap state.
-        vm, _ = mid_run_machine()
-        restored_vm, _ = MachineSnapshot.capture((vm, None)).restore()
-        table = restored_vm.collector.table
-        for block in restored_vm.collector.blocks:
-            assert block.table is table
-            assert block.line_states.table is table
-            assert table.owners[block.slot] is block
+    """The whole-heap SoA arrays reach the machine digest."""
 
     def test_digest_covers_soa_arrays(self):
-        vm, _ = mid_run_machine()
+        vm = driven_machine()
         table = vm.collector.table
         before = machine_digest(vm)
         slot = table.active_slots()[0]
@@ -182,50 +114,22 @@ class TestSoaHeapState:
         assert machine_digest(vm) == before
 
 
+def small_study():
+    spec = write_heavy(workload("luindex"), mutations_per_object=2.0)
+    spec = dataclasses.replace(spec, total_alloc_bytes=300_000)
+    return spec, dict(endurance_mean_writes=30.0, max_iterations=6, seed=0)
+
+
 class TestResumeBitIdentity:
-    @settings(max_examples=6, deadline=None)
-    @given(
-        every=st.integers(min_value=1, max_value=7),
-        seed=st.integers(min_value=0, max_value=2),
-        rate=st.sampled_from([0.0, 0.10, 0.25]),
-    )
-    def test_bench_resume_identical(self, tmp_path_factory, every, seed, rate):
-        # tmp_path is function-scoped and hypothesis reuses the test
-        # function across examples, so mint a fresh directory per draw.
-        snap = str(tmp_path_factory.mktemp("snap") / "ck.snap")
-        config = tiny_config(seed=seed, rate=rate)
-        clean = run_benchmark(config)
-        policy = CheckpointPolicy(snap, every_steps=every)
-        checkpointed = run_benchmark(config, checkpoint=policy)
-        assert canonical(checkpointed) == canonical(clean)
-        assert policy.emitted > 0
-        resumed = resume_benchmark(snap)
-        assert canonical(resumed) == canonical(clean)
-
-    def test_marksweep_resume_identical(self, tmp_path):
-        snap = str(tmp_path / "ck.snap")
-        config = tiny_config(collector="sticky-marksweep")
-        clean = run_benchmark(config)
-        run_benchmark(config, checkpoint=CheckpointPolicy(snap, every_steps=3))
-        assert canonical(resume_benchmark(snap)) == canonical(clean)
-
-    def test_bench_snapshot_kind_checked(self, tmp_path):
-        snap = str(tmp_path / "wrong.snap")
-        MachineSnapshot.capture("not a machine", kind="lifetime").save(snap)
-        with pytest.raises(SnapshotError):
-            resume_benchmark(snap)
-
     def test_lifetime_resume_identical(self, tmp_path):
         snap = str(tmp_path / "life.snap")
-        spec = write_heavy(workload("luindex"), mutations_per_object=2.0)
-        import dataclasses
-
-        spec = dataclasses.replace(spec, total_alloc_bytes=300_000)
-        kwargs = dict(endurance_mean_writes=30.0, max_iterations=6, seed=0)
+        spec, kwargs = small_study()
         clean = run_lifetime(spec, **kwargs)
+        # One checkpoint, after iteration 4 of 6: the resume runs two.
         checkpointed = run_lifetime(
-            spec, checkpoint=CheckpointPolicy(snap, every_steps=2), **kwargs
+            spec, checkpoint=CheckpointPolicy(snap, every_steps=4), **kwargs
         )
+        assert MachineSnapshot.load(snap).meta["iteration"] == 4
         resumed = run_lifetime(spec, resume_from=snap, **kwargs)
         for other in (checkpointed, resumed):
             assert other.iterations_completed == clean.iterations_completed
@@ -239,3 +143,44 @@ class TestResumeBitIdentity:
         spec = write_heavy(workload("luindex"), mutations_per_object=2.0)
         with pytest.raises(SnapshotError):
             run_lifetime(spec, resume_from=snap)
+
+
+class TestStudyIdentity:
+    """A checkpoint continues only the study that wrote it."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        snap = str(tmp_path / "life.snap")
+        spec, kwargs = small_study()
+        kwargs["max_iterations"] = 2
+        run_lifetime(spec, checkpoint=CheckpointPolicy(snap, 2), **kwargs)
+        return snap
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"clustering": False}, "clustering"),
+            ({"endurance_mean_writes": 31.0}, "endurance_mean_writes"),
+            ({"seed": 1}, "seed"),
+            ({"page_retirement": True}, "page_retirement"),
+            ({"heap_multiplier": 3.0}, "heap_multiplier"),
+        ],
+    )
+    def test_other_study_refused(self, checkpoint, change, field):
+        spec, kwargs = small_study()
+        kwargs.update(change)
+        with pytest.raises(SnapshotError, match=f"different study: its {field} "):
+            run_lifetime(spec, resume_from=checkpoint, **kwargs)
+
+    def test_other_workload_refused(self, checkpoint):
+        _, kwargs = small_study()
+        spec = write_heavy(workload("avrora"), mutations_per_object=2.0)
+        with pytest.raises(SnapshotError, match="its workload is 'luindex'"):
+            run_lifetime(spec, resume_from=checkpoint, **kwargs)
+
+    def test_longer_horizon_allowed(self, checkpoint):
+        spec, kwargs = small_study()
+        clean = run_lifetime(spec, **kwargs)
+        resumed = run_lifetime(spec, resume_from=checkpoint, **kwargs)
+        assert [r.__dict__ for r in resumed.records] == \
+            [r.__dict__ for r in clean.records]

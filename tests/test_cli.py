@@ -360,9 +360,8 @@ class TestBenchBadInput:
                  "bench: workload: unknown workload 'nosuch'")
 
     @_cases(*BAD_RUN_SHAPES,
-            ("--checkpoint-every must be >= 0 steps (0 = off), got -1",
-             ["--scale", "0.05", "--checkpoint-every", "-1"],
-             "--checkpoint-every must be >= 0 steps (0 = off), got -1"),
+            ("--wear must be >= 0 writes", ["--scale", "0.05", "--wear", "nan"],
+             "--wear must be >= 0 writes (0 = aged module), got nan"),
             ("--seed: expected a seed >= 0, got -3", ["--scale", "0.05", "--seed", "-3"],
              "--seed: expected a seed >= 0, got -3"),
             ("expected a scale in (0, 1], got 1.5", ["--scale", "1.5"],
@@ -440,17 +439,55 @@ class TestLifetimeBadInput:
     def test_bad_value_exits_2(self, capsys, workdir, extra, message):
         _refused(capsys, workdir, ["lifetime"] + extra, f"lifetime: {message}")
 
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tmp_path_factory):
+        """A checkpoint of the unclustered luindex study, outside the
+        working directory."""
+        path = str(tmp_path_factory.mktemp("ckpt") / "life.snap")
+        assert main(["-q", "lifetime", "--workload", "luindex", "--iterations", "2",
+                     "--checkpoint-every", "2", "--checkpoint", path]) == 0
+        return path
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--workload", "luindex", "--strategy", "clustered"],
+         "its clustering is False, this run's is True"),
+        (["--workload", "avrora", "--strategy", "start-gap", "--endurance", "400"],
+         "its workload is 'luindex', this run's is 'avrora'"),
+    ], ids=["other-strategy", "other-workload"])
+    def test_resume_of_another_study_exits_2(
+        self, capsys, workdir, checkpoint, extra, message
+    ):
+        argv = ["lifetime", "--iterations", "4", "--resume", checkpoint] + extra
+        _refused(capsys, workdir, argv,
+                 f"snapshot: the checkpoint is of a different study: {message}")
+
+
+#: A one-cell sweep: a bad value that slips through runs quickly.
+SMALL_SWEEP = ["sweep", "--workloads", "luindex", "--rates", "0", "--scale", "0.05"]
 
 #: Bad input for the grid and file commands, with the one stderr line
 #: each must print.
 BAD_INPUT = [
     (["sweep", "--heaps", "inf"],
-     "plan: axes.heap[0]: expected a positive heap multiplier, got inf"),
+     "sweep: --heaps: expected a positive heap multiplier, got inf"),
     (["sweep", "--heaps", "nan"],
-     "plan: axes.heap[0]: expected a positive heap multiplier, got nan"),
-    (["sweep", "--retries", "0"],
-     "sweep: max_attempts must be >= 1"),
-    (["figures", "--retries", "0"], "figures: max_attempts must be >= 1"),
+     "sweep: --heaps: expected a positive heap multiplier, got nan"),
+    (["sweep", "--heaps", "-1"],
+     "sweep: --heaps: expected a positive heap multiplier, got -1.0"),
+    (["sweep", "--workloads", "luindex", "nosuch"],
+     "sweep: --workloads: unknown workload 'nosuch'"),
+    (["sweep", "--retries", "0"], "sweep: --retries must be >= 1 attempt, got 0"),
+    (["figures", "--retries", "0"], "figures: --retries must be >= 1 attempt, got 0"),
+    (SMALL_SWEEP + ["--timeout", "-1"],
+     "sweep: --timeout must be a finite number of seconds > 0, got -1.0"),
+    (SMALL_SWEEP + ["--timeout", "nan"],
+     "sweep: --timeout must be a finite number of seconds > 0, got nan"),
+    (SMALL_SWEEP + ["--retry-delay", "nan"],
+     "sweep: --retry-delay must be a finite number of seconds >= 0, got nan"),
+    (["sweep", "--retry-delay", "-1"],
+     "sweep: --retry-delay must be a finite number of seconds >= 0, got -1.0"),
+    (["figures", "--retry-delay", "-1"],
+     "figures: --retry-delay must be a finite number of seconds >= 0, got -1.0"),
     (["figures", "--scale", "1.5"],
      "figures: --scale: expected a scale in (0, 1], got 1.5"),
     (["plan", "nosuch.yaml"], "plan: nosuch.yaml: cannot read plan"),
