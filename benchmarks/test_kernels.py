@@ -26,6 +26,7 @@ from repro.heap.heap_table import HeapTable
 from repro.heap.object_model import ObjectFactory
 from repro.osim.memory_manager import OsMemoryManager
 from repro.workloads.dacapo import DACAPO
+from tests.faults import oracles as fault_oracles
 from tests.hardware.oracles import ReferencePcmModule, module_state
 from tests.heap import oracles
 from tests.heap.oracles import (
@@ -450,6 +451,24 @@ def kernel_cases(seed=0):
             == oracles.os_absorption_state(absorb_oracle()),
         )
 
+    # Failure-map build for the paper grid's pmd cell at 50% with
+    # two-page clustering (108,544 lines): the per-line mask path
+    # against the set transforms it replaced. Both sides make the same
+    # uniform draw.
+    n_lines, model = 108_544, FailureModel(rate=0.5, hw_region_pages=2)
+    two_page = Geometry(region_pages=2)
+
+    def build_oracle():
+        failed = fault_oracles.uniform_reference(n_lines, model.rate, seed)
+        return fault_oracles.hardware_clustering_reference(failed, n_lines, two_page)
+
+    cases["failure-map build (50%, 2-page clustering)"] = (
+        _gc_paused(lambda: model.build(n_lines, geometry, seed)),
+        _gc_paused(build_oracle),
+        1 / 50,
+        model.build(n_lines, geometry, seed).failed_lines == build_oracle(),
+    )
+
     # The PCM write path: one seeded wearing stream, 8-byte field stores
     # and whole-object writes over a hot working set, run on a fresh
     # module to dozens of line failures. The state is compared whole.
@@ -514,6 +533,8 @@ def test_kernel_speedups_and_identity():
         "static-failure absorption (10%)": 2.0,
         "static-failure absorption (50%)": 4.0,
         "workloads.draw_size (vs randint)": 1.25,
+        # Under a third of the 18-23x measured locally.
+        "failure-map build (50%, 2-page clustering)": 6.0,
         # Half the measured 1.5x: one threshold draw per touched line
         # (MT19937 seeding, the same C code on both sides) is about
         # half of the fast side's time.

@@ -158,7 +158,7 @@ def _build_vm(
         static_map = FailureModel(rate=static_rate).build(
             pcm.n_lines, geometry, seed
         )
-        pcm.inject_static_failures(static_map.failed_lines)
+        pcm.inject_static_failures(static_map.failed_indices())
     injector = FaultInjector(FailureModel(), geometry=geometry, pcm=pcm)
     config = VmConfig(
         heap_bytes=heap,

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+import numpy as np
+
 from ..collectors.immix import ImmixCollector
 from ..hardware.clustering import region_direction
 from ..heap import line_table, object_model
@@ -368,6 +370,9 @@ def check_redirection_maps(vm, violations: List[Violation], trigger: str) -> Non
     geometry = vm.geometry
     per_region = geometry.lines_per_region
     hw_lines = pcm.failed_logical_lines()
+    physical_per_region = np.bincount(
+        pcm.failed_physical_indices() // per_region
+    ).tolist()
     for region_index, rmap in sorted(pcm.clustering._maps.items()):
         if sorted(rmap.logical_to_physical) != list(range(rmap.n_lines)):
             violations.append(
@@ -424,8 +429,10 @@ def check_redirection_maps(vm, violations: List[Violation], trigger: str) -> Non
         # region (statically injected pre-clustered maps never install
         # hardware maps), but the map must never exceed the physical
         # failure count of its region.
-        physical_in_region = sum(
-            1 for line in pcm._failed_physical if line // per_region == region_index
+        physical_in_region = (
+            physical_per_region[region_index]
+            if region_index < len(physical_per_region)
+            else 0
         )
         if rmap.failed_count > physical_in_region:
             violations.append(

@@ -123,6 +123,7 @@ from .sim.plan import (
     CELL_FIELDS,
     PLAN_SCHEMA,
     cell_to_config,
+    compensation_problem,
     dry_run_payload,
     expand,
     load_and_expand,
@@ -923,12 +924,23 @@ def _sweep_flags_plan(args) -> dict:
     }
 
 
+def _compensation_flag_problem(flag: str, rates, compensate: bool):
+    """The plan's rate-versus-compensation check, for a rate flag."""
+    for rate in rates:
+        problem = compensation_problem(rate, compensate)
+        if problem:
+            return f"{flag}: {problem}"
+    return None
+
+
 def cmd_sweep(args) -> int:
     if _usage_errors(
         "sweep",
         args,
         {} if args.plan else _SWEEP_FIELDS,
         *_fault_tolerance_problems(args),
+        # The flag grid compensates every cell.
+        not args.plan and _compensation_flag_problem("--rates", args.rates, True),
     ):
         return 2
     # sweep's --progress is a flight-recorder listener.
@@ -1107,6 +1119,7 @@ def cmd_bench(args) -> int:
         args.buffer < 1 and f"--buffer must be >= 1 event, got {args.buffer}",
         not 0 <= args.wear < math.inf
         and f"--wear must be >= 0 writes (0 = aged module), got {args.wear}",
+        _compensation_flag_problem("--rate", [args.rate], not args.no_compensate),
     ):
         return 2
     registry = None

@@ -328,15 +328,17 @@ class ImmixCollector:
         if self._state is not None and self._state.advance_run(line_size):
             self.stats.run_advances += 1
             return self._state
-        block = self._next_block()
-        if block is None:
-            self._state = None
-            return None
-        self._state = _BumpState(block, block.free_runs())
-        if not self._state.advance_run(line_size):
+        while True:
+            block = self._next_block()
+            if block is None:
+                self._state = None
+                return None
+            self._state = _BumpState(block, block.free_runs())
+            if self._state.advance_run(line_size):
+                break
             # A block with no free lines should never be queued; guard
-            # against fully-failed blocks by skipping them.
-            return self._advance_small()
+            # against fully-failed blocks by skipping them, in a loop:
+            # at high failure rates there can be thousands in a row.
         self.stats.run_advances += 1
         return self._state
 

@@ -22,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..hardware.clustering import cluster_failure_map
+from ..hardware.clustering import cluster_failure_mask
 from ..hardware.geometry import Geometry
 from ..units import format_size, is_power_of_two
-from .maps import FailureMap
+from .maps import FailureMap, coarsen
 
 
 def uniform_map(n_lines: int, rate: float, seed: int = 0) -> FailureMap:
@@ -34,8 +34,7 @@ def uniform_map(n_lines: int, rate: float, seed: int = 0) -> FailureMap:
     if rate == 0.0 or n_lines == 0:
         return FailureMap(n_lines)
     rng = np.random.default_rng(seed)
-    failed = np.flatnonzero(rng.random(n_lines) < rate)
-    return FailureMap(n_lines, failed.tolist())
+    return FailureMap.from_mask(rng.random(n_lines) < rate)
 
 
 def clustered_map(
@@ -65,23 +64,17 @@ def clustered_map(
     if rate == 0.0 or n_clusters == 0:
         return FailureMap(n_lines)
     rng = np.random.default_rng(seed)
-    failed_clusters = np.flatnonzero(rng.random(n_clusters) < rate)
-    failed = []
-    for cluster in failed_clusters:
-        first = int(cluster) * lines_per_cluster
-        failed.extend(range(first, min(first + lines_per_cluster, n_lines)))
-    return FailureMap(n_lines, failed)
+    failed_clusters = rng.random(n_clusters) < rate
+    return FailureMap.from_mask(np.repeat(failed_clusters, lines_per_cluster)[:n_lines])
 
 
 def apply_hardware_clustering(
     map_: FailureMap, geometry: Geometry, include_metadata: bool = False
 ) -> FailureMap:
     """The logical view after the clustering hardware remaps failures."""
-    logical = cluster_failure_map(map_.failed_lines, geometry, include_metadata)
-    # Clamp: metadata charging can push past the end of a partial trailing
-    # region; the map only covers n_lines.
-    logical = {line for line in logical if line < map_.n_lines}
-    return FailureMap(map_.n_lines, logical)
+    if not map_.failed_count:
+        return map_
+    return FailureMap.from_mask(cluster_failure_mask(map_.mask, geometry, include_metadata))
 
 
 @dataclass(frozen=True)
@@ -152,8 +145,6 @@ class FailureModel:
                 map_, cluster_geometry, self.include_metadata
             )
         if self.map_granularity_lines and self.map_granularity_lines > 1:
-            from .maps import coarsen
-
             map_ = coarsen(map_, self.map_granularity_lines)
         return map_
 

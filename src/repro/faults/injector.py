@@ -72,7 +72,7 @@ class FaultInjector:
             # An existing (possibly already worn) module: lifetime
             # experiments thread one module through many iterations.
             self.pcm = pcm
-            self.static_map = FailureMap(pcm.n_lines, pcm.failed_logical_lines())
+            self.static_map = FailureMap(pcm.n_lines, pcm.failed_logical_indices())
         else:
             self.pcm = PcmModule(
                 size_bytes=pcm_bytes,
@@ -85,7 +85,7 @@ class FaultInjector:
                     static_map, self.geometry, seed
                 )
             self.static_map = static_map
-            self.pcm.inject_static_failures(self.static_map.failed_lines)
+            self.pcm.inject_static_failures(self.static_map.failed_indices())
         self.os = OsMemoryManager(
             self.pcm,
             dram_pages=dram_pages,
@@ -109,7 +109,7 @@ class FaultInjector:
     def failure_map_for_pages(self, first_page: int, n_pages: int) -> FailureMap:
         """The injected map over a page span, re-based to its start."""
         lines_per_page = self.geometry.lines_per_page
-        span_map = FailureMap(self.pcm.n_lines, self.pcm.failed_logical_lines())
+        span_map = FailureMap(self.pcm.n_lines, self.pcm.failed_logical_indices())
         return span_map.subset(first_page * lines_per_page, n_pages * lines_per_page)
 
     def describe(self) -> str:

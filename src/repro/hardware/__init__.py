@@ -9,7 +9,7 @@ failure-map interfaces exported here.
 from .clustering import (
     ClusteringController,
     RedirectionMap,
-    cluster_failure_map,
+    cluster_failure_mask,
     region_direction,
 )
 from .dram import DramModule
@@ -27,7 +27,7 @@ from .wear_leveling import (
 __all__ = [
     "ClusteringController",
     "RedirectionMap",
-    "cluster_failure_map",
+    "cluster_failure_mask",
     "region_direction",
     "DramModule",
     "DEFAULT_ENTRIES_PER_LINE",

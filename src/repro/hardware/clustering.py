@@ -12,8 +12,8 @@ Two artifacts live here:
 * :class:`RedirectionMap` — the per-region hardware state, exercised by
   the dynamic-failure path (a failure arrives, the map swaps it to the
   boundary).
-* :func:`cluster_failure_map` — the static transform used by the fault
-  injector: given a physical failure bitmap, produce the logical view
+* :func:`cluster_failure_mask` — the static transform used by the fault
+  injector: given a physical per-line failure mask, produce the logical view
   software would observe with clustering enabled. This mirrors the
   paper's methodology ("move those failures according to our one- and
   two-page clustering algorithm, alternatively moving all failures to
@@ -22,9 +22,11 @@ Two artifacts live here:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional
 
-from .geometry import Geometry
+import numpy as np
+
+from .geometry import Geometry, group_rows
 
 
 def region_direction(region_index: int) -> str:
@@ -186,17 +188,18 @@ class ClusteringController:
 # ----------------------------------------------------------------------
 # Static transform used by the fault injector
 # ----------------------------------------------------------------------
-def cluster_failure_map(
-    failed_lines: Iterable[int],
+def cluster_failure_mask(
+    failed: np.ndarray,
     geometry: Geometry,
     include_metadata: bool = False,
-) -> Set[int]:
-    """Logical failed-line set under hardware clustering.
+) -> np.ndarray:
+    """Logical failure mask under hardware clustering.
 
     Parameters
     ----------
-    failed_lines:
-        Global PCM line indices that physically failed (uniform map).
+    failed:
+        Per-line bool mask of the PCM lines that physically failed
+        (uniform map), line 0 first.
     geometry:
         Supplies the region size; ``geometry.region_pages`` selects
         one-page vs two-page (or larger) clustering.
@@ -208,23 +211,19 @@ def cluster_failure_map(
 
     Returns
     -------
-    The set of global line indices software observes as failed: within
-    each region the same *count* of failures as the physical map, packed
-    at the start of even regions and the end of odd regions.
+    The mask software observes, over the same lines: within each region
+    the same *count* of failures as the physical map, packed at the
+    start of even regions and the end of odd regions
+    (:func:`region_direction`). A partial trailing region is clustered
+    as if whole and then cut back to the mask's length, so its failures
+    (and charged metadata) past the end are dropped.
     """
     per_region = geometry.lines_per_region
-    counts: dict = {}
-    for line in failed_lines:
-        region = line // per_region
-        counts[region] = counts.get(region, 0) + 1
-
-    logical: Set[int] = set()
+    counts = np.count_nonzero(group_rows(failed, per_region), axis=1)
+    n_regions = len(counts)
     map_lines = geometry.redirection_map_lines() if include_metadata else 0
-    for region, count in counts.items():
-        charged = min(per_region, count + map_lines)
-        base = region * per_region
-        if region_direction(region) == "start":
-            logical.update(range(base, base + charged))
-        else:
-            logical.update(range(base + per_region - charged, base + per_region))
-    return logical
+    charged = np.where(counts > 0, np.minimum(counts + map_lines, per_region), 0)
+    first = np.where(np.arange(n_regions) % 2 == 0, 0, per_region - charged)
+    offsets = np.arange(per_region)
+    logical = (offsets >= first[:, None]) & (offsets < (first + charged)[:, None])
+    return logical.reshape(-1)[: len(failed)]

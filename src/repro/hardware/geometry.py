@@ -14,6 +14,9 @@ exactly once, at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from ..errors import GeometryError
 from ..units import (
@@ -192,3 +195,17 @@ class Geometry:
 
 #: The geometry used throughout the paper's evaluation.
 PAPER_DEFAULT = Geometry()
+
+
+def group_rows(mask: np.ndarray, size: int) -> np.ndarray:
+    """A per-line mask as rows of ``size`` lines, the last zero-padded."""
+    rows = np.zeros((-(-len(mask) // size), size), dtype=mask.dtype)
+    rows.reshape(-1)[: len(mask)] = mask
+    return rows
+
+
+def as_line_indices(lines: Iterable[int]) -> np.ndarray:
+    """Line indices as an int64 array (no copy for one already)."""
+    if isinstance(lines, np.ndarray):
+        return lines.astype(np.int64, copy=False)
+    return np.fromiter(lines, dtype=np.int64)

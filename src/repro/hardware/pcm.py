@@ -32,11 +32,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from _random import Random as _CRandom
 
+import numpy as np
+
 from ..errors import AddressError
 from .clustering import ClusteringController
 from .ecc import EccDomain
 from .failure_buffer import FailureBuffer, InterruptKind
-from .geometry import Geometry
+from .geometry import Geometry, as_line_indices
 from .wear_leveling import NoWearLeveling, WearLeveler
 
 _TWOPI = 2.0 * _pi
@@ -159,19 +161,21 @@ class PcmModule:
         # event fires. That slot starts at 0, so a line's first write
         # draws its threshold; it then holds the first-failure
         # threshold, and after each event the count of the next one.
+        span = self.wear_leveler.physical_lines(self.n_lines)
         if endurance is None:
             self._counts: Optional[List[int]] = None
             self._next_event: Optional[List[int]] = None
         else:
-            span = self.wear_leveler.physical_lines(self.n_lines)
             self._counts = [0] * span
             self._next_event = [0] * span
         #: Physical lines in the order of their first write.
         self._touched: List[int] = []
-        #: Physical lines whose ECC budget is exhausted.
-        self._failed_physical: Set[int] = set()
-        #: Logical lines software must avoid (post-clustering view).
-        self._failed_logical: Set[int] = set()
+        #: One byte per physical line: 1 once its ECC budget is exhausted.
+        self._failed_physical = bytearray(span)
+        #: One byte per logical line: 1 for lines software must avoid
+        #: (post-clustering view), with their count kept alongside.
+        self._failed_logical = bytearray(self.n_lines)
+        self._failed_count = 0
         #: Failures not yet acknowledged by the OS, as
         #: (reported_line, original_line) pairs: with clustering the
         #: line *reported* failed is the remapped boundary slot, while
@@ -243,6 +247,13 @@ class PcmModule:
     def n_lines(self) -> int:
         return self.size_bytes // self.geometry.pcm_line
 
+    def connect_interrupt(
+        self, handler: Optional[Callable[[InterruptKind], None]]
+    ) -> None:
+        """Wire the interrupt line to ``handler``; None unwires it (the
+        silent sink), so the module no longer holds its last owner."""
+        self._on_interrupt = handler or _silent_interrupt
+
     def _raise_interrupt(self, kind: InterruptKind) -> None:
         self._on_interrupt(kind)
 
@@ -270,17 +281,20 @@ class PcmModule:
         The lines are recorded directly in the logical view: the fault
         injector already applied any clustering transform it wanted.
         The whole batch is validated before anything is recorded, so a
-        rejected batch leaves the module untouched.
+        rejected batch leaves the module untouched. An int index array
+        (:meth:`FailureMap.failed_indices`) is taken as is.
         """
-        lines = frozenset(logical_lines)
-        if not lines:
+        lines = as_line_indices(logical_lines)
+        if not lines.size:
             return
-        lowest, highest = min(lines), max(lines)
+        lowest, highest = int(lines.min()), int(lines.max())
         if lowest < 0 or highest >= self.n_lines:
             line = lowest if lowest < 0 else highest
             raise AddressError(f"line {line} outside module")
-        self._failed_logical.update(lines)
-        self._failed_physical.update(lines)
+        logical = np.frombuffer(self._failed_logical, dtype=np.uint8)
+        logical[lines] = 1
+        np.frombuffer(self._failed_physical, dtype=np.uint8)[lines] = 1
+        self._failed_count = int(np.count_nonzero(logical))
 
     # ------------------------------------------------------------------
     # Datapath
@@ -314,7 +328,7 @@ class PcmModule:
         return ok
 
     def _write_line(self, logical_line: int, data: object) -> bool:
-        if logical_line in self._failed_logical:
+        if self._failed_logical[logical_line]:
             # Software invariantly never writes failed lines; if it does
             # the write is absorbed by the failure buffer like any
             # failing write so no data is ever silently lost.
@@ -358,12 +372,16 @@ class PcmModule:
 
     def _fail_line(self, logical_line: int, physical_line: int, data: object) -> bool:
         """Record a permanent line failure; returns True (it failed)."""
-        self._failed_physical.add(physical_line)
+        self._failed_physical[physical_line] = 1
         if self.clustering is not None:
             reported = self.clustering.record_failure(logical_line)
         else:
             reported = logical_line
-        self._failed_logical.add(reported)
+        if not self._failed_logical[reported]:
+            # A statically failed zone installs no redirection map, so a
+            # clustered dynamic failure can report an already failed line.
+            self._failed_logical[reported] = 1
+            self._failed_count += 1
         self._pending_failures.append((reported, logical_line))
         tr = self.tracer
         if tr is not None:
@@ -389,9 +407,23 @@ class PcmModule:
     # ------------------------------------------------------------------
     # OS-facing views
     # ------------------------------------------------------------------
+    def failed_logical_indices(self) -> np.ndarray:
+        """Lines software must avoid, in the logical (clustered) view,
+        as an ascending int64 index array."""
+        return np.flatnonzero(np.frombuffer(self._failed_logical, dtype=np.uint8))
+
+    def failed_physical_indices(self) -> np.ndarray:
+        """Physical lines whose ECC budget is exhausted (or statically
+        failed), as an ascending int64 index array."""
+        return np.flatnonzero(np.frombuffer(self._failed_physical, dtype=np.uint8))
+
     def failed_logical_lines(self) -> Set[int]:
-        """Lines software must avoid, in the logical (clustered) view."""
-        return set(self._failed_logical)
+        """A set view of :meth:`failed_logical_indices`, for checkers."""
+        return set(self.failed_logical_indices().tolist())
+
+    def failed_line_count(self) -> int:
+        """How many logical lines are failed."""
+        return self._failed_count
 
     def take_pending_failures(self) -> List[tuple]:
         """Failures since the last call, as (reported, original) line
@@ -418,4 +450,4 @@ class PcmModule:
         return [counts[line] for line in self._touched]
 
     def failed_fraction(self) -> float:
-        return len(self._failed_logical) / self.n_lines
+        return self._failed_count / self.n_lines

@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, Iterable, List
 
 import numpy as np
 
-from ..hardware.geometry import Geometry
+from ..hardware.geometry import Geometry, as_line_indices
 
 
 def _popcount(bits: int) -> int:
@@ -70,20 +70,20 @@ class FailureTable:
         The boot-time and post-crash loader: the same final state as
         :meth:`record_global_line` per line, but the batch is validated
         before anything changes and each page is written once. The
-        lines are sorted and split into per-page groups in numpy; each
-        group's bitmap is packed with ``np.packbits`` (any
-        ``lines_per_page``, not only 64) and its decoded offsets go
-        straight into the query cache.
+        lines (an int index array is taken as is) are sorted and split
+        into per-page groups in numpy; each group's bitmap is packed
+        with ``np.packbits`` (any ``lines_per_page``, not only 64) and
+        its decoded offsets go straight into the query cache, one
+        frozenset per distinct bitmap.
 
         Returns the failed offsets of every imperfect page, in page
         order.
         """
         if self._bitmaps:
             raise ValueError("load_lines needs an empty failure table")
-        lines = np.fromiter(failed_lines, dtype=np.int64)
+        lines = np.sort(as_line_indices(failed_lines))
         if not lines.size:
             return {}
-        lines.sort()
         per_page = self.geometry.lines_per_page
         pages, offsets = np.divmod(lines, per_page)
         del lines
@@ -100,10 +100,19 @@ class FailureTable:
         page_list = pages[np.concatenate(([0], starts))].tolist()
         offset_list = offsets.tolist()
         bounds = [0, *starts.tolist(), pages.size]
-        page_offsets = [frozenset(offset_list[a:b]) for a, b in zip(bounds, bounds[1:])]
-        self._bitmaps = dict(zip(page_list, [
+        bitmaps = [
             int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
-        ]))
+        ]
+        # Pages with equal bitmaps share one offset set: clustered maps
+        # repeat a few patterns (whole pages, edge runs) many times.
+        shared: Dict[int, FrozenSet[int]] = {}
+        page_offsets = []
+        for bitmap, a, b in zip(bitmaps, bounds, bounds[1:]):
+            offsets_set = shared.get(bitmap)
+            if offsets_set is None:
+                offsets_set = shared[bitmap] = frozenset(offset_list[a:b])
+            page_offsets.append(offsets_set)
+        self._bitmaps = dict(zip(page_list, bitmaps))
         self._offsets_cache.update(zip(page_list, page_offsets))
         self._failed_count = sum(map(len, page_offsets))
         self._imperfect_cache = page_list

@@ -71,7 +71,7 @@ class OsMemoryManager:
         self.tracer = None
         # Wire the module's interrupts to this manager and absorb any
         # failures the module already knows about (an aged module).
-        pcm._on_interrupt = self._on_interrupt
+        pcm.connect_interrupt(self._on_interrupt)
         self._absorb_static_failures()
 
     # ------------------------------------------------------------------
@@ -85,7 +85,7 @@ class OsMemoryManager:
         and the degraded pages leave the perfect pool in one rebuild, in
         page order.
         """
-        batch = self.failure_table.load_lines(self.pcm.failed_logical_lines())
+        batch = self.failure_table.load_lines(self.pcm.failed_logical_indices())
         pages = self.pools.pages
         for page_index, offsets in batch.items():
             pages[page_index].failed_offsets = offsets

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..faults.maps import FailureMap
 from ..hardware.wear_leveling import (
     NoWearLeveling,
@@ -94,28 +96,26 @@ class WolframWearPolicy(WearLevelingPolicy):
     def transform_static_map(
         self, static_map: FailureMap, geometry: "Geometry", seed: int
     ) -> FailureMap:
-        failed = static_map.failed_lines
         n_lines = static_map.n_lines
-        if not failed or n_lines == 0:
+        if not static_map.failed_count:
             return static_map
         capacity = max(
             geometry.lines_per_page, int(n_lines * self.spare_fraction)
         )
-        spares = []
-        for line in range(n_lines - 1, -1, -1):
-            if len(spares) >= capacity:
-                break
-            if line not in failed:
-                spares.append(line)
-        remapped = set(failed)
-        for victim, spare in zip(sorted(failed), spares):
-            if spare <= victim:
-                # The spare region has grown down into the damage it is
-                # meant to absorb; further remapping only shuffles loss.
-                break
-            remapped.discard(victim)
-            remapped.add(spare)
-        return FailureMap(n_lines, remapped)
+        mask = static_map.mask
+        # Spares: the top healthy lines, highest first. Victims: the
+        # lowest failed lines, lowest first, paired with them in order.
+        spares = n_lines - 1 - np.flatnonzero(~mask[::-1])[:capacity]
+        victims = static_map.failed_indices()[: len(spares)]
+        spares = spares[: len(victims)]
+        # Stop where the spare region has grown down into the damage it
+        # is meant to absorb; further remapping only shuffles loss.
+        # Spares fall as victims rise, so the pairs to keep are a prefix.
+        paired = int(np.count_nonzero(spares > victims))
+        remapped = mask.copy()
+        remapped[victims[:paired]] = False
+        remapped[spares[:paired]] = True
+        return FailureMap.from_mask(remapped)
 
     def build_leveler(self, geometry: "Geometry", seed: int) -> WearLeveler:
         # The decoder doubles as a Start-Gap-style rotation engine: one
@@ -204,19 +204,26 @@ class SoftwearWearPolicy(WearLevelingPolicy):
     def transform_static_map(
         self, static_map: FailureMap, geometry: "Geometry", seed: int
     ) -> FailureMap:
-        failed = static_map.failed_lines
         n_lines = static_map.n_lines
-        if not failed or n_lines == 0:
+        if not static_map.failed_count:
             return static_map
         region_lines = geometry.lines_per_page * self.region_pages
-        rotated = set()
-        for line in failed:
-            region = line // region_lines
-            base = region * region_lines
-            span = min(region_lines, n_lines - base)
-            offset = self._rotation(region, span, seed)
-            rotated.add(base + (line - base + offset) % span)
-        return FailureMap(n_lines, rotated)
+        n_regions = -(-n_lines // region_lines)
+        bases = np.arange(n_regions, dtype=np.int64) * region_lines
+        spans = np.minimum(region_lines, n_lines - bases)
+        offsets = np.array(
+            [
+                self._rotation(region, int(span), seed)
+                for region, span in enumerate(spans)
+            ],
+            dtype=np.int64,
+        )
+        lines = static_map.failed_indices()
+        regions = lines // region_lines
+        base = bases[regions]
+        rotated = np.zeros(n_lines, dtype=np.bool_)
+        rotated[base + (lines - base + offsets[regions]) % spans[regions]] = True
+        return FailureMap.from_mask(rotated)
 
     def build_leveler(self, geometry: "Geometry", seed: int) -> WearLeveler:
         return RegionRotationLeveler(

@@ -154,9 +154,7 @@ class VirtualMachine:
             args={
                 "collector": self.config.collector,
                 "heap_bytes": self.config.heap_bytes,
-                "static_failed_lines": len(
-                    self.injector.pcm.failed_logical_lines()
-                ),
+                "static_failed_lines": self.injector.pcm.failed_line_count(),
             },
         )
 

@@ -29,6 +29,7 @@ from ..hardware.wear_leveling import NoWearLeveling, StartGapWearLeveler, WearLe
 from ..runtime.vm import VirtualMachine, VmConfig
 from ..workloads.driver import TraceDriver, estimate_min_heap
 from ..workloads.spec import WorkloadSpec
+from .machine import machine_scope
 from .snapshot import CheckpointPolicy, MachineSnapshot
 
 
@@ -158,32 +159,9 @@ def run_lifetime(
         )
         start_iteration = 0
     for iteration in range(start_iteration, max_iterations):
-        injector = FaultInjector(FailureModel(), geometry=geometry, seed=seed, pcm=pcm)
-        config = VmConfig(
-            heap_bytes=heap,
-            geometry=geometry,
-            collector="sticky-immix",
-            compensate=False,
-            seed=seed,
-            wear_writes=True,
-            page_retirement=page_retirement,
-        )
-        vm = VirtualMachine(config, injector=injector)
-        completed = True
-        try:
-            TraceDriver(spec, seed + iteration).run(vm)
-        except OutOfMemoryError:
-            completed = False
-        result.records.append(
-            IterationRecord(
-                iteration=iteration,
-                completed=completed,
-                failed_fraction=pcm.failed_fraction(),
-                dynamic_failures=vm.stats.dynamic_failure_collections,
-                simulated_ms=vm.simulated_ms(),
-            )
-        )
-        if not completed:
+        record = _age_once(pcm, spec, heap, geometry, seed, iteration, page_retirement)
+        result.records.append(record)
+        if not record.completed:
             break
         result.iterations_completed += 1
         if checkpoint is not None and checkpoint.due(iteration + 1):
@@ -201,6 +179,48 @@ def run_lifetime(
 
     result.wear_spread_cv = spread_statistics(pcm.write_count_histogram())["cv"]
     return result
+
+
+@machine_scope
+def _age_once(
+    pcm: PcmModule,
+    spec: WorkloadSpec,
+    heap: int,
+    geometry: Geometry,
+    seed: int,
+    iteration: int,
+    page_retirement: bool,
+) -> IterationRecord:
+    """One iteration: a fresh VM over the aging module, freed on return.
+
+    The OS wires the module's interrupt line to itself; unwiring it at
+    the end leaves nothing older than the call holding the machine.
+    """
+    injector = FaultInjector(FailureModel(), geometry=geometry, seed=seed, pcm=pcm)
+    config = VmConfig(
+        heap_bytes=heap,
+        geometry=geometry,
+        collector="sticky-immix",
+        compensate=False,
+        seed=seed,
+        wear_writes=True,
+        page_retirement=page_retirement,
+    )
+    vm = VirtualMachine(config, injector=injector)
+    completed = True
+    try:
+        TraceDriver(spec, seed + iteration).run(vm)
+    except OutOfMemoryError:
+        completed = False
+    finally:
+        pcm.connect_interrupt(None)
+    return IterationRecord(
+        iteration=iteration,
+        completed=completed,
+        failed_fraction=pcm.failed_fraction(),
+        dynamic_failures=vm.stats.dynamic_failure_collections,
+        simulated_ms=vm.simulated_ms(),
+    )
 
 
 def _default_label(wear_leveler: Optional[WearLeveler], clustering: bool) -> str:

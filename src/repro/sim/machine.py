@@ -275,7 +275,7 @@ def run_wearing_benchmark(
     if config.failure_model.rate > 0.0:
         static_map = config.failure_model.build(pcm.n_lines, geometry, config.seed)
         static_map = wear.transform_static_map(static_map, geometry, config.seed)
-        pcm.inject_static_failures(static_map.failed_lines)
+        pcm.inject_static_failures(static_map.failed_indices())
     injector = FaultInjector(
         FailureModel(),
         geometry=geometry,

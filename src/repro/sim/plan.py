@@ -130,6 +130,14 @@ def _check_rate(value: Any) -> Optional[str]:
     return None
 
 
+def compensation_problem(rate: Any, compensate: Any) -> Optional[str]:
+    """A compensated cell maps heap / (1 - rate) bytes: none exists at
+    rate 1. Checked across fields, after each field's own checker."""
+    if compensate is True and _is_number(rate) and rate == 1.0:
+        return "cannot compensate a failure rate of 1.0 (no line works)"
+    return None
+
+
 def _check_heap(value: Any) -> Optional[str]:
     # Finite too: the heap size is int(min_heap * multiplier).
     if not _is_number(value) or not 0 < value < math.inf:
@@ -679,6 +687,14 @@ def precheck(
                         f"the collector's arraylet path; collector "
                         f"{cell['collector']!r} has none (choose an immix "
                         f"collector)",
+                    )
+                )
+            uncompensable = compensation_problem(cell["rate"], cell["compensate"])
+            if uncompensable:
+                cell_problems.append(
+                    PlanProblem(
+                        f"cells[{index}].rate",
+                        f"{uncompensable}; set compensate: false",
                     )
                 )
         if cell_problems:

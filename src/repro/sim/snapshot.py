@@ -39,7 +39,7 @@ from ..errors import SnapshotError
 #: First bytes of every snapshot file.
 SNAPSHOT_MAGIC = b"REPROSNAP\n"
 #: Envelope schema version; bump on any incompatible layout change.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 _HEADER_LEN = struct.Struct(">I")
 
@@ -248,8 +248,8 @@ def machine_digest(vm) -> str:
         "pcm": {
             "writes": pcm.total_writes,
             "reads": pcm.total_reads,
-            "failed_logical": sorted(pcm._failed_logical),
-            "failed_physical": sorted(pcm._failed_physical),
+            "failed_logical": pcm.failed_logical_indices().tolist(),
+            "failed_physical": pcm.failed_physical_indices().tolist(),
             "write_counts": sorted(pcm.write_counts().items()),
             "pending": list(pcm._pending_failures),
             "fbuf": [

@@ -229,7 +229,10 @@ class TestDetection:
     def test_failure_table_divergence(self):
         vm = make_vm()
         pcm = vm.injector.pcm
-        pcm._failed_logical.add(max(pcm._failed_logical, default=0) + 1)
+        # A line the module now reports failed but the OS never absorbed.
+        failed = pcm.failed_logical_lines()
+        healthy = next(line for line in range(pcm.n_lines) if line not in failed)
+        pcm.inject_static_failures([healthy])
         assert "failure-table-sync" in found_invariants(vm)
 
     def test_leaked_failure_buffer_entry(self):
@@ -274,7 +277,9 @@ class TestDetection:
         per_region = vm.geometry.lines_per_region
         n_regions = pcm.n_lines // per_region
         hw_regions = {line // per_region for line in pcm.failed_logical_lines()}
-        physical_regions = {line // per_region for line in pcm._failed_physical}
+        physical_regions = {
+            line // per_region for line in pcm.failed_physical_indices().tolist()
+        }
         clean = next(
             (
                 r

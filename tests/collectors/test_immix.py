@@ -80,6 +80,19 @@ class TestAllocation:
         assert placed <= 32 * 1024 // 2008
 
 
+class TestHighFailureRates:
+    def test_run_of_fully_failed_blocks_finishes_or_dnfs(self):
+        # At 99% failures thousands of fully failed blocks come in a
+        # row; skipping them once took one stack frame per block and
+        # overflowed Python's recursion limit.
+        from repro.faults.generator import FailureModel
+        from repro.sim.machine import RunConfig, run_benchmark
+
+        model = FailureModel(rate=0.99, hw_region_pages=2)
+        result = run_benchmark(RunConfig(workload="pmd", failure_model=model, scale=0.02))
+        assert result.completed or result.failure_note
+
+
 class TestCollection:
     def run_churn(self, collector, factory, n=2000, live_target=200, seed=0,
                   sizes=(24, 64, 120, 500)):

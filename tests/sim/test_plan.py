@@ -478,6 +478,22 @@ class TestPolicyPrecheck:
         assert len(conflicts) == 1
         assert conflicts[0].where == "cells[1].placement_policy"
 
+    def test_compensated_rate_one_reported_with_cell_index(self):
+        problems, expanded = precheck(
+            doc(
+                defaults={"workload": "luindex"},
+                axes={"rate": [0.5, 1.0], "compensate": [False, True]},
+            )
+        )
+        assert expanded is None
+        assert [(p.where, p.message) for p in problems] == [
+            (
+                "cells[3].rate",
+                "cannot compensate a failure rate of 1.0 (no line works); "
+                "set compensate: false",
+            )
+        ]
+
     def test_all_policy_problems_in_one_pass(self):
         # A bad name, a conflict, and a bad rate must all surface in a
         # single precheck, not one per run attempt.

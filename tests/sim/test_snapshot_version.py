@@ -1,8 +1,9 @@
 """Snapshot envelope versions: a build reads only its own version.
 
 Version 2 changed the pickled ``PcmModule`` wear state (per-line
-write-count and next-event lists instead of dicts), and version 3 the
-pickled ``Block`` (each block records its last sweep). An older
+write-count and next-event lists instead of dicts), version 3 the
+pickled ``Block`` (each block records its last sweep), and version 4
+the module's failed lines (per-line byte arrays instead of int sets). An older
 snapshot must be refused with the envelope's clear error rather than
 unpickled into a machine that would crash or silently diverge.
 """
@@ -11,6 +12,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.errors import SnapshotError
 from repro.sim.snapshot import (
     _HEADER_LEN,
@@ -38,7 +40,10 @@ def assert_refused(tmp_path, version):
     assert MachineSnapshot.from_bytes(with_version(data, SNAPSHOT_VERSION))
     old = tmp_path / "old.snap"
     old.write_bytes(with_version(data, version))
-    expected = rf"unknown snapshot version {version} \(this build reads version 3\)"
+    expected = (
+        rf"unknown snapshot version {version} "
+        rf"\(this build reads version {SNAPSHOT_VERSION}\)"
+    )
     with pytest.raises(SnapshotError, match=expected):
         MachineSnapshot.load(str(old))
 
@@ -49,3 +54,17 @@ def test_version_1_envelope_is_refused(tmp_path):
 
 def test_version_2_envelope_is_refused(tmp_path):
     assert_refused(tmp_path, 2)
+
+
+def test_version_3_lifetime_checkpoint_is_refused(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "life.snap"
+    assert main(["-q", "lifetime", "--workload", "luindex", "--iterations", "1",
+                 "--checkpoint-every", "1", "--checkpoint", str(path)]) == 0
+    path.write_bytes(with_version(path.read_bytes(), 3))
+    capsys.readouterr()
+    argv = ["lifetime", "--workload", "luindex", "--iterations", "2", "--resume", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"snapshot: unknown snapshot version 3 (this build reads version {SNAPSHOT_VERSION})"
+    ]

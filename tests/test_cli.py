@@ -367,7 +367,10 @@ class TestBenchBadInput:
             ("expected a scale in (0, 1], got 1.5", ["--scale", "1.5"],
              "--scale: expected a scale in (0, 1], got 1.5"),
             ("--heap must be a positive multiplier", ["--heap", "nan"],
-             "--heap: expected a positive heap multiplier, got nan"))
+             "--heap: expected a positive heap multiplier, got nan"),
+            ("cannot compensate a failure rate of 1.0",
+             ["--scale", "0.05", "--rate", "1.0"],
+             "--rate: cannot compensate a failure rate of 1.0 (no line works)"))
     def test_bad_value_exits_2(self, capsys, workdir, extra, message):
         _refused(capsys, workdir, ["bench", "pmd"] + extra, f"bench: {message}")
 
@@ -391,7 +394,10 @@ class TestTraceBadInput:
             ("--seed: expected a seed >= 0, got -3", ["--scale", "0.05", "--seed", "-3"],
              "--seed: expected a seed >= 0, got -3"),
             ("expected a scale in (0, 1], got 1.5", ["--scale", "1.5"],
-             "--scale: expected a scale in (0, 1], got 1.5"))
+             "--scale: expected a scale in (0, 1], got 1.5"),
+            ("cannot compensate a failure rate of 1.0",
+             ["--scale", "0.05", "--rate", "1.0"],
+             "--rate: cannot compensate a failure rate of 1.0 (no line works)"))
     def test_bad_value_exits_2(self, capsys, workdir, extra, message):
         argv = ["bench", "pmd", "--trace", "trace.json"] + extra
         _refused(capsys, workdir, argv, f"bench: {message}")
@@ -490,6 +496,8 @@ BAD_INPUT = [
      "figures: --retry-delay must be a finite number of seconds >= 0, got -1.0"),
     (["figures", "--scale", "1.5"],
      "figures: --scale: expected a scale in (0, 1], got 1.5"),
+    (["sweep", "--workloads", "luindex", "--rates", "0", "1.0", "--scale", "0.05"],
+     "sweep: --rates: cannot compensate a failure rate of 1.0 (no line works)"),
     (["plan", "nosuch.yaml"], "plan: nosuch.yaml: cannot read plan"),
     (["report", "nosuch.jsonl"], "report: cannot read nosuch.jsonl"),
 ]
