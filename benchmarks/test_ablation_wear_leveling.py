@@ -13,13 +13,16 @@ import dataclasses
 
 from conftest import FULL, run_once
 
-from repro.hardware.wear_leveling import StartGapWearLeveler
-from repro.sim.lifetime import (
-    retire_on_first_failure_lifetime,
-    run_lifetime,
-    write_heavy,
-)
+from repro.sim.lifetime import run_strategy, write_heavy
 from repro.workloads import workload
+
+#: Report label of each lifetime strategy, in STRATEGIES order.
+LABELS = {
+    "retire": "retire page on first failure",
+    "aware": "failure-aware, no clustering",
+    "clustered": "failure-aware, 2CL",
+    "start-gap": "failure-aware, start-gap",
+}
 
 
 def _spec():
@@ -32,25 +35,12 @@ def run_all():
     spec = _spec()
     cap = 30 if FULL else 15
     endurance = 40.0
-    results = {
-        "retire page on first failure": retire_on_first_failure_lifetime(
-            spec, max_iterations=cap, endurance_mean_writes=endurance
-        ),
-        "failure-aware, no clustering": run_lifetime(
-            spec, clustering=False, max_iterations=cap, endurance_mean_writes=endurance
-        ),
-        "failure-aware, 2CL": run_lifetime(
-            spec, clustering=True, max_iterations=cap, endurance_mean_writes=endurance
-        ),
-        "failure-aware, start-gap": run_lifetime(
-            spec,
-            clustering=False,
-            wear_leveler=StartGapWearLeveler(gap_write_interval=20),
-            max_iterations=cap,
-            endurance_mean_writes=endurance,
-        ),
+    return {
+        label: run_strategy(
+            spec, strategy, max_iterations=cap, endurance_mean_writes=endurance
+        )
+        for strategy, label in LABELS.items()
     }
-    return results
 
 
 def test_ablation_wear_leveling(benchmark):

@@ -21,12 +21,7 @@ Run:  python examples/memory_aging.py
 
 import dataclasses
 
-from repro.hardware.wear_leveling import StartGapWearLeveler
-from repro.sim.lifetime import (
-    retire_on_first_failure_lifetime,
-    run_lifetime,
-    write_heavy,
-)
+from repro.sim.lifetime import STRATEGIES, run_strategy, write_heavy
 from repro.workloads import workload
 
 
@@ -40,23 +35,10 @@ def main() -> None:
           f"(endurance ~{endurance:.0f} writes/line, {cap}-iteration cap)\n")
 
     results = [
-        retire_on_first_failure_lifetime(
-            spec, max_iterations=cap, endurance_mean_writes=endurance
-        ),
-        run_lifetime(
-            spec, clustering=False, max_iterations=cap,
-            endurance_mean_writes=endurance,
-        ),
-        run_lifetime(
-            spec, clustering=True, max_iterations=cap,
-            endurance_mean_writes=endurance,
-        ),
-        run_lifetime(
-            spec, clustering=False,
-            wear_leveler=StartGapWearLeveler(gap_write_interval=20),
-            max_iterations=cap, endurance_mean_writes=endurance,
-            label="start-gap wear leveling",
-        ),
+        run_strategy(
+            spec, strategy, max_iterations=cap, endurance_mean_writes=endurance
+        )
+        for strategy in STRATEGIES
     ]
 
     print(f"{'strategy':34s} {'iterations':>10s} {'lines consumed':>15s}")

@@ -38,9 +38,8 @@ aborting the sweep, and ``--retries``/``--timeout`` give each cell
 more attempts (with backoff) and a wall-time budget. ``sweep
 --resume`` restarts a killed sweep against the same ``--cache-dir``:
 completed cells replay from the cache and only the remainder
-re-executes. ``lifetime`` can checkpoint its aging module every N
-iterations (``--checkpoint-every``) and continue from a checkpoint of
-the same study (``--resume``) with bit-identical results.
+re-executes. A ``lifetime`` study runs in seconds and is not
+checkpointed: rerun it, and it prints the same bytes.
 
 Output streams follow one convention (see :mod:`repro.obs.log`):
 stdout carries primary output — human reports (suppressed by ``-q``)
@@ -99,7 +98,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional
 
 from .check.audit import VERIFY_LEVELS
-from .errors import CellsQuarantinedError, ConfigError, PlanError, SnapshotError
+from .errors import CellsQuarantinedError, ConfigError, PlanError
 from .faults.generator import FailureModel
 from .ioutil import atomic_write_json, atomic_write_text
 from .obs import log as obslog
@@ -117,6 +116,7 @@ from .sim.cache import ResultCache
 from .sim.chaos import ChaosConfig
 from .sim.experiment import ExperimentRunner
 from .sim.ftexec import RetryPolicy
+from .sim.lifetime import STRATEGIES as LIFETIME_STRATEGIES
 from .sim.machine import run_benchmark, run_wearing_benchmark
 from .sim.parallel import run_grid, sweep_artifact
 from .sim.plan import (
@@ -129,7 +129,6 @@ from .sim.plan import (
     load_and_expand,
     render_dry_run,
 )
-from .sim.snapshot import CheckpointPolicy
 from .sim.tracing import TraceDirectory, trace_metadata
 from .workloads.dacapo import DACAPO
 
@@ -454,32 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     lifetime.add_argument(
         "--strategy",
         default="aware",
-        choices=["retire", "aware", "clustered", "start-gap"],
+        choices=LIFETIME_STRATEGIES,
     )
     lifetime.add_argument("--workload", default="avrora")
     lifetime.add_argument("--iterations", type=int, default=12)
     lifetime.add_argument("--endurance", type=float, default=40.0)
-    lifetime.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default="LIFETIME_checkpoint.snap",
-        help="snapshot path for --checkpoint-every (default: %(default)s)",
-    )
-    lifetime.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="ITERS",
-        help="snapshot the aging module every N completed iterations "
-        "(0 = off); not supported by the 'retire' strategy",
-    )
-    lifetime.add_argument(
-        "--resume",
-        metavar="PATH",
-        default=None,
-        help="continue an aging study from a lifetime snapshot; the "
-        "study must match the checkpoint's, only --iterations may differ",
-    )
 
     sub.add_parser("workloads", help="list workloads")
     return parser
@@ -1219,12 +1197,7 @@ def cmd_check(args) -> int:
 def cmd_lifetime(args) -> int:
     import dataclasses
 
-    from .hardware.wear_leveling import StartGapWearLeveler
-    from .sim.lifetime import (
-        retire_on_first_failure_lifetime,
-        run_lifetime,
-        write_heavy,
-    )
+    from .sim.lifetime import run_strategy, write_heavy
     from .workloads.dacapo import workload
 
     if _usage_errors(
@@ -1232,8 +1205,6 @@ def cmd_lifetime(args) -> int:
         args,
         {"--workload": "workload"},
         args.iterations < 1 and f"--iterations must be >= 1, got {args.iterations}",
-        args.checkpoint_every < 0
-        and f"--checkpoint-every must be >= 0 iterations (0 = off), got {args.checkpoint_every}",
         not 0 < args.endurance < math.inf
         and f"--endurance must be a positive number of writes, got {args.endurance}",
     ):
@@ -1242,40 +1213,12 @@ def cmd_lifetime(args) -> int:
     spec = dataclasses.replace(
         spec, total_alloc_bytes=min(spec.total_alloc_bytes, 1_500_000)
     )
-    checkpoint = None
-    if args.checkpoint_every > 0:
-        checkpoint = CheckpointPolicy(
-            args.checkpoint, every_steps=args.checkpoint_every
-        )
-    if args.strategy == "retire":
-        if checkpoint is not None or args.resume:
-            obslog.warn(
-                "--checkpoint-every/--resume apply to the failure-aware "
-                "strategies only, not 'retire'"
-            )
-            return 2
-        result = retire_on_first_failure_lifetime(
-            spec, max_iterations=args.iterations, endurance_mean_writes=args.endurance
-        )
-    else:
-        result = run_lifetime(
-            spec,
-            clustering=args.strategy == "clustered",
-            wear_leveler=(
-                StartGapWearLeveler(gap_write_interval=20)
-                if args.strategy == "start-gap"
-                else None
-            ),
-            max_iterations=args.iterations,
-            endurance_mean_writes=args.endurance,
-            checkpoint=checkpoint,
-            resume_from=args.resume,
-        )
-    if checkpoint is not None and checkpoint.emitted:
-        obslog.info(
-            f"checkpoints: {checkpoint.emitted} snapshot(s), last at "
-            f"{args.checkpoint} (resume with --resume)"
-        )
+    result = run_strategy(
+        spec,
+        args.strategy,
+        max_iterations=args.iterations,
+        endurance_mean_writes=args.endurance,
+    )
     obslog.out(result.describe())
     for record in result.records:
         bar = "#" * int(50 * record.failed_fraction)
@@ -1346,12 +1289,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # usage error too. Simulation outcomes (out of memory and its
         # kin) are not ConfigErrors and keep their tracebacks.
         obslog.warn(f"{args.command}: {exc}")
-        return 2
-    except SnapshotError as exc:
-        # Unreadable, corrupt, stale or foreign checkpoint files are
-        # usage errors (bad --resume path, snapshot from edited sources,
-        # a different study), not crashes worth a traceback.
-        obslog.warn(f"snapshot: {exc}")
         return 2
     except BrokenPipeError:
         # Output was piped into a consumer that closed early (head).

@@ -43,18 +43,6 @@ class PinnedObjectError(ReproError):
     """An operation tried to move a pinned object."""
 
 
-class SnapshotError(ReproError):
-    """A lifetime checkpoint cannot be resumed.
-
-    Raised for corrupt or truncated snapshot files, integrity-hash
-    mismatches, unknown envelope versions, snapshots taken by a
-    different simulator version (the code fingerprint baked into every
-    snapshot must match the running sources — resuming across code
-    changes would silently break the bit-identity guarantee), and
-    checkpoints of a different study than the one resuming.
-    """
-
-
 class PlanError(ConfigError):
     """An experiment plan failed its precheck.
 

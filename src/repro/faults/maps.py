@@ -149,11 +149,12 @@ class FailureMap:
         return not self.any_failed_in_range(page_index * per_page, per_page)
 
     def perfect_page_count(self, geometry: Geometry) -> int:
-        """Whole pages minus imperfect ones (a failed partial trailing
-        page counts against the total)."""
-        n_pages = self.n_lines // geometry.lines_per_page
-        imperfect = group_rows(self.mask, geometry.lines_per_page).any(axis=1)
-        return n_pages - int(np.count_nonzero(imperfect))
+        """Whole pages with no failed line; a partial trailing page is
+        no page at all."""
+        per_page = geometry.lines_per_page
+        n_pages = self.n_lines // per_page
+        whole = self.mask[: n_pages * per_page].reshape(n_pages, per_page)
+        return n_pages - int(np.count_nonzero(whole.any(axis=1)))
 
     # ------------------------------------------------------------------
     # Runtime views (section 4.2, "false failures")

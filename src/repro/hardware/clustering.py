@@ -127,12 +127,6 @@ class ClusteringController:
         #: Optional observability hook; see :mod:`repro.obs.trace`.
         self.tracer = None
 
-    def __getstate__(self) -> dict:
-        """Snapshot support: redirection maps persist, tracers do not."""
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        return state
-
     def map_for_region(self, region_index: int) -> RedirectionMap:
         rmap = self._maps.get(region_index)
         if rmap is None:

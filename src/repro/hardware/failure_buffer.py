@@ -81,23 +81,6 @@ class FailureBuffer:
         #: Optional observability hook; see :mod:`repro.obs.trace`.
         self.tracer = None
 
-    def __getstate__(self) -> dict:
-        """Snapshot support: persist entries, drop process wiring.
-
-        The interrupt callback is a bound method of the owning PCM
-        module (a reference cycle) or a caller lambda; the owner
-        re-solders it in its own ``__setstate__``.
-        """
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        state["_interrupt"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self._interrupt is None:
-            self._interrupt = _silent_interrupt
-
     # ------------------------------------------------------------------
     # Hardware-side operations
     # ------------------------------------------------------------------

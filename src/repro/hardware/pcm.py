@@ -103,7 +103,7 @@ class EnduranceModel:
 
 
 def _silent_interrupt(kind: InterruptKind) -> None:
-    """Default interrupt sink for unwired (or freshly restored) modules."""
+    """Default interrupt sink for unwired modules."""
 
 
 class PcmModule:
@@ -211,36 +211,6 @@ class PcmModule:
         self.failure_buffer.tracer = tracer
         if self.clustering is not None:
             self.clustering.tracer = tracer
-
-    # ------------------------------------------------------------------
-    # Snapshot support (see repro.sim.snapshot)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Serialize wear/failure state, not wiring.
-
-        The tracer and the interrupt callback are process wiring, not
-        machine state: the callback in particular points back into the
-        OS layer (or a caller-supplied closure), so persisting it would
-        either drag an unrelated object graph into a module-only
-        snapshot or fail outright on an unpicklable lambda. Restored
-        modules come back silent until the next owner rewires them, as
-        ``OsMemoryManager.__init__`` does.
-        """
-        state = self.__dict__.copy()
-        state["tracer"] = None
-        state["_on_interrupt"] = None
-        for bound in ("_on_write", "_translate"):
-            del state[bound]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self._on_interrupt is None:
-            self._on_interrupt = _silent_interrupt
-        # The failure buffer's interrupt line always points at its
-        # owning module; re-solder it rather than persisting the cycle.
-        self.failure_buffer._interrupt = self._raise_interrupt
-        self._bind()
 
     # ------------------------------------------------------------------
     @property

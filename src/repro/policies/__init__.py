@@ -29,11 +29,11 @@ later counter-designs catalogued in PAPERS.md:
 Policies are selected by name via ``RunConfig`` fields (``wear_policy``,
 ``pool_policy``, ``placement_policy``) and resolved through the
 registries below. Implementations must be deterministic under a fixed
-seed, build levelers that pickle cleanly (lifetime checkpoints capture
-them with the module), and must never place writes on FAILED lines —
-the contract suite in ``tests/policies/contract.py`` holds every
-registered implementation to exactly those invariants, so a third
-design dropped into a registry gets its coverage for free.
+seed (lifetime studies under their levelers included) and must never
+place writes on FAILED lines — the contract suite in
+``tests/policies/contract.py`` holds every registered implementation
+to exactly those invariants, so a third design dropped into a registry
+gets its coverage for free.
 """
 
 from __future__ import annotations

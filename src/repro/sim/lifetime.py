@@ -17,10 +17,10 @@ They answer the paper's discussion-section questions:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..errors import OutOfMemoryError, ReproError, SnapshotError
+from ..errors import ConfigError, OutOfMemoryError, ReproError
 from ..faults.generator import FailureModel
 from ..faults.injector import FaultInjector
 from ..hardware.geometry import Geometry
@@ -30,7 +30,6 @@ from ..runtime.vm import VirtualMachine, VmConfig
 from ..workloads.driver import TraceDriver, estimate_min_heap
 from ..workloads.spec import WorkloadSpec
 from .machine import machine_scope
-from .snapshot import CheckpointPolicy, MachineSnapshot
 
 
 @dataclass
@@ -80,24 +79,12 @@ def run_lifetime(
     seed: int = 0,
     label: str = "",
     page_retirement: bool = False,
-    checkpoint: Optional[CheckpointPolicy] = None,
-    resume_from: "Optional[MachineSnapshot | str]" = None,
 ) -> LifetimeResult:
     """Age one module by repeatedly running ``spec`` on it.
 
     ``endurance_mean_writes`` is deliberately tiny (a real cell endures
     ~1e8 writes) so modules die within a handful of iterations; the
     comparative behaviour between configurations is the result.
-
-    ``checkpoint`` snapshots the aging module (and the records so far)
-    every N completed iterations — the natural suspension points, since
-    each iteration rebuilds its VM from the module's wear state.
-    ``resume_from`` continues a checkpointed study; the completed study
-    is then bit-identical to an uninterrupted one. The checkpoint names
-    its study (every argument but the horizon, the checkpointing ones
-    and the label), and a resume with any other raises
-    :class:`~repro.errors.SnapshotError`; only ``max_iterations`` may
-    change.
     """
     geometry = geometry or Geometry()
     if spec.mutations_per_object <= 0:
@@ -111,69 +98,24 @@ def run_lifetime(
     heap = (heap + block - 1) // block * block
     region = geometry.region
     pcm_bytes = (heap + region - 1) // region * region + region
-    study = {
-        "workload": spec.name,
-        "total_alloc_bytes": spec.total_alloc_bytes,
-        "mutations_per_object": spec.mutations_per_object,
-        "heap_multiplier": heap_multiplier,
-        "geometry": asdict(geometry),
-        "wear_leveler": type(wear_leveler or NoWearLeveling()).__name__,
-        "clustering": clustering,
-        "endurance_mean_writes": endurance_mean_writes,
-        "endurance_cv": endurance_cv,
-        "seed": seed,
-        "page_retirement": page_retirement,
-    }
-    if resume_from is not None:
-        snapshot = (
-            MachineSnapshot.load(resume_from)
-            if isinstance(resume_from, str)
-            else resume_from
-        )
-        if snapshot.kind != "lifetime":
-            raise SnapshotError(
-                f"expected a 'lifetime' snapshot, found {snapshot.kind!r}"
-            )
-        saved = snapshot.meta.get("study", {})
-        for name, value in study.items():
-            if saved.get(name) != value:
-                raise SnapshotError(
-                    f"the checkpoint is of a different study: its {name} is "
-                    f"{saved.get(name)!r}, this run's is {value!r}"
-                )
-        pcm, result, start_iteration = snapshot.restore()
-    else:
-        pcm = PcmModule(
-            size_bytes=pcm_bytes,
-            geometry=geometry,
-            endurance=EnduranceModel(
-                mean_writes=endurance_mean_writes, cv=endurance_cv, seed=seed
-            ),
-            clustering_enabled=clustering,
-            wear_leveler=wear_leveler or NoWearLeveling(),
-            failure_buffer_capacity=128,
-            seed=seed,
-        )
-        result = LifetimeResult(
-            label=label or _default_label(wear_leveler, clustering)
-        )
-        start_iteration = 0
-    for iteration in range(start_iteration, max_iterations):
+    pcm = PcmModule(
+        size_bytes=pcm_bytes,
+        geometry=geometry,
+        endurance=EnduranceModel(
+            mean_writes=endurance_mean_writes, cv=endurance_cv, seed=seed
+        ),
+        clustering_enabled=clustering,
+        wear_leveler=wear_leveler or NoWearLeveling(),
+        failure_buffer_capacity=128,
+        seed=seed,
+    )
+    result = LifetimeResult(label=label or _default_label(wear_leveler, clustering))
+    for iteration in range(max_iterations):
         record = _age_once(pcm, spec, heap, geometry, seed, iteration, page_retirement)
         result.records.append(record)
         if not record.completed:
             break
         result.iterations_completed += 1
-        if checkpoint is not None and checkpoint.due(iteration + 1):
-            checkpoint.checkpoint(
-                (pcm, result, iteration + 1),
-                kind="lifetime",
-                meta={
-                    "label": result.label,
-                    "iteration": iteration + 1,
-                    "study": study,
-                },
-            )
     result.final_failed_fraction = pcm.failed_fraction()
     from ..hardware.wear_leveling import spread_statistics
 
@@ -254,4 +196,42 @@ def retire_on_first_failure_lifetime(
         seed=seed,
         label="retire page on first failure",
         page_retirement=True,
+    )
+
+
+#: The wear-management strategies a lifetime study compares, in the
+#: paper's order: page retirement, failure awareness alone, with
+#: two-page clustering, and with Start-Gap wear leveling.
+STRATEGIES = ("retire", "aware", "clustered", "start-gap")
+
+
+def run_strategy(
+    spec: WorkloadSpec,
+    strategy: str,
+    *,
+    max_iterations: int,
+    endurance_mean_writes: float,
+    seed: int = 0,
+) -> LifetimeResult:
+    """Age one module under ``strategy``, one of :data:`STRATEGIES`."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown lifetime strategy {strategy!r}")
+    if strategy == "retire":
+        return retire_on_first_failure_lifetime(
+            spec,
+            max_iterations=max_iterations,
+            endurance_mean_writes=endurance_mean_writes,
+            seed=seed,
+        )
+    return run_lifetime(
+        spec,
+        clustering=strategy == "clustered",
+        wear_leveler=(
+            StartGapWearLeveler(gap_write_interval=20)
+            if strategy == "start-gap"
+            else None
+        ),
+        max_iterations=max_iterations,
+        endurance_mean_writes=endurance_mean_writes,
+        seed=seed,
     )

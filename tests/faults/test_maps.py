@@ -64,6 +64,10 @@ class TestOsViews:
         assert fmap.page_is_perfect(0, G)
         assert not fmap.page_is_perfect(1, G)
         assert fmap.perfect_page_count(G) == 3
+        # 100 lines: page 0 is whole and perfect; the failed line 99
+        # sits on the partial trailing page, which is no page at all.
+        assert FailureMap(100, [99]).perfect_page_count(G) == 1
+        assert FailureMap(100, [63]).perfect_page_count(G) == 0
 
 
 class TestFalseFailures:

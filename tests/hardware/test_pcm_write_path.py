@@ -162,21 +162,3 @@ def test_threshold_draw_is_cpython_gauss(seed, cv):
         expected = random.Random(key).gauss(mean, cv * mean)
         assert seeded_gauss(key, mean, cv * mean) == expected
         assert model.first_failure_threshold(line) == threshold_reference(model, line)
-
-
-@pytest.mark.parametrize("leveler", sorted(LEVELERS))
-def test_pickled_module_continues_identically(leveler):
-    """A restored module rebinds its write path and wears on unchanged."""
-    import pickle
-
-    rng = random.Random(11)
-    stream = [(rng.randrange(30) * 64, rng.choice([8, 130]), i) for i in range(3000)]
-    args = (leveler, True, (15.0, 0.35), 1, 3, set())
-    whole, _ = build(PcmModule, *args)
-    whole_outcomes = drive(whole, stream)
-    split, _ = build(PcmModule, *args)
-    outcomes = drive(split, stream[:1500])
-    split = pickle.loads(pickle.dumps(split))
-    outcomes += drive(split, stream[1500:])
-    assert outcomes == whole_outcomes
-    assert module_state(split) == module_state(whole)

@@ -11,20 +11,19 @@ The contracts:
 
 * **Determinism under a fixed seed** — a policy is part of the
   experiment's content address, so two runs of the same configuration
-  must produce identical machines (checked via
-  :func:`repro.sim.snapshot.machine_digest`) and identical transformed
-  failure maps.
+  must produce identical machines (checked via :func:`machine_digest`)
+  and identical transformed failure maps.
 * **No live data on FAILED lines** — whatever a policy remaps, rotates,
   migrates, or places, the heap-wide correctness condition of the paper
   still holds after a full collection.
 * **Page-count conservation** — pool policies may move pages between
   the perfect/imperfect/allocated populations but never create, leak,
   or double-book a physical page.
-* **Lifetime checkpoint round-trip** — a wear policy's leveler state
-  travels inside lifetime checkpoints: a checkpointed-and-resumed study
-  is bit-identical to an uninterrupted one.
+* **Lifetime determinism** — two fresh lifetime studies under a wear
+  policy's leveler age their modules identically.
 """
 
+import hashlib
 import json
 
 from repro.faults.generator import FailureModel
@@ -37,7 +36,6 @@ from repro.policies import (
     policy_triple,
 )
 from repro.runtime.vm import VirtualMachine, VmConfig
-from repro.sim.snapshot import machine_digest
 from repro.units import KiB, MiB
 from repro.workloads.driver import TraceDriver
 from repro.workloads.spec import WorkloadSpec
@@ -256,39 +254,93 @@ def check_machine_determinism(wear, pool, placement):
     )
 
 
-def check_lifetime_checkpoint_round_trip(name, tmp_path):
-    """A lifetime study under ``name``'s leveler, checkpointed and then
-    resumed, ends bit-identical to the uninterrupted study: the
-    leveler's state travels inside the checkpoint with the module."""
+def check_lifetime_determinism(name):
+    """Two fresh 4-iteration lifetime studies under ``name``'s leveler
+    give equal results: the leveler adds no hidden state to a study."""
     import dataclasses
 
     from repro.policies import resolve_wear_policy
     from repro.sim.lifetime import run_lifetime, write_heavy
-    from repro.sim.snapshot import CheckpointPolicy, MachineSnapshot
     from repro.workloads.dacapo import workload
 
     spec = write_heavy(workload("luindex"), mutations_per_object=2.0)
     spec = dataclasses.replace(spec, total_alloc_bytes=300_000)
     policy = resolve_wear_policy(name)
-
-    def study(**kwargs):
-        leveler = policy.build_leveler(Geometry(), 0)
-        return run_lifetime(
-            spec, wear_leveler=leveler, endurance_mean_writes=30.0,
-            max_iterations=4, seed=0, **kwargs
+    results = [
+        dataclasses.asdict(
+            run_lifetime(
+                spec, wear_leveler=policy.build_leveler(Geometry(), 0),
+                endurance_mean_writes=30.0, max_iterations=4, seed=0,
+            )
         )
+        for _ in range(2)
+    ]
+    assert results[0] == results[1], f"{name}: identical studies diverged"
 
-    path = str(tmp_path / f"{name}.snap")
-    uninterrupted = study()
-    # Checkpointed once, after iteration 3 of 4, so the resume has an
-    # iteration left to run on the restored module and leveler.
-    interrupted = study(checkpoint=CheckpointPolicy(path, every_steps=3))
-    assert MachineSnapshot.load(path).meta["iteration"] == 3, (
-        f"{name}: the study ended before its checkpoint"
-    )
-    resumed = study(resume_from=path)
-    canonical = lambda r: json.dumps(dataclasses.asdict(r), sort_keys=True)  # noqa: E731
-    assert canonical(interrupted) == canonical(uninterrupted)
-    assert canonical(resumed) == canonical(uninterrupted), (
-        f"{name}: resume from checkpoint diverged"
-    )
+
+# ----------------------------------------------------------------------
+# State digest (machine determinism support)
+# ----------------------------------------------------------------------
+def machine_digest(vm) -> str:
+    """A stable digest of everything observable about a machine.
+
+    Built from canonically ordered observables rather than pickle
+    bytes: the collector's remembered set is a genuine ``set`` whose
+    iteration order varies between otherwise identical machines.
+    Two machines with equal digests produce the same continued run.
+    """
+    pcm = vm.injector.pcm
+    supply = vm.supply
+    table = getattr(vm.collector, "table", None)
+    heap_table = None
+    if table is not None:
+        # The structure-of-arrays heap state, digested wholesale: the
+        # flat line/failure arrays are the ground truth every kernel
+        # reads, so a single changed byte (or slot bookkeeping around
+        # them) flips this digest.
+        heap_table = {
+            "lines": hashlib.sha256(bytes(table.lines)).hexdigest(),
+            "fail_marks": hashlib.sha256(bytes(table.fail_marks)).hexdigest(),
+            "active_slots": table.active_slots(),
+            "free_slots": list(table._free_slots),
+            "free_lines": table.free_line_count(),
+            "failed_lines": table.failed_line_count(),
+        }
+    state = {
+        "stats": vm.stats.snapshot(),
+        "roots": sorted(vm._roots.keys()),
+        "pending_failure_gc": vm._pending_failure_gc,
+        "pcm": {
+            "writes": pcm.total_writes,
+            "reads": pcm.total_reads,
+            "failed_logical": pcm.failed_logical_indices().tolist(),
+            "failed_physical": pcm.failed_physical_indices().tolist(),
+            "write_counts": sorted(pcm.write_counts().items()),
+            "pending": list(pcm._pending_failures),
+            "fbuf": [
+                (entry.address, entry.synthetic)
+                for entry in pcm.failure_buffer.pending()
+            ],
+        },
+        "os": {
+            "upcalls": vm.os.upcalls,
+            "relocated_pages": vm.os.relocated_pages,
+            "owners": sorted(vm.os._owners.items()),
+            "perfect_free": sorted(vm.os.pools._perfect),
+            "imperfect_free": sorted(vm.os.pools._imperfect),
+            "dram_free": sorted(vm.os.pools._dram),
+            "allocated": sorted(vm.os.pools._allocated),
+        },
+        "supply": {
+            "free_perfect": supply.free_perfect,
+            "relaxed_taken": supply.relaxed_pages_taken,
+            "fussy_taken": supply.fussy_pages_taken,
+            "los_claims": supply.los_span_claims,
+            "borrowed": supply.accountant.borrowed,
+            "demand": supply.accountant.total_perfect_demand,
+        },
+        "heap_table": heap_table,
+        "census": vm.heap_census(),
+    }
+    rendering = json.dumps(state, sort_keys=True, default=repr)
+    return hashlib.sha256(rendering.encode("utf-8")).hexdigest()

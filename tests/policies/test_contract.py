@@ -57,5 +57,5 @@ class TestTripleContract:
 
 
 @pytest.mark.parametrize("name", contract.registered_wear_policies())
-def test_lifetime_checkpoint_round_trip(name, tmp_path):
-    contract.check_lifetime_checkpoint_round_trip(name, tmp_path)
+def test_lifetime_determinism(name):
+    contract.check_lifetime_determinism(name)

@@ -4,10 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.sim.lifetime import (
+    STRATEGIES,
     retire_on_first_failure_lifetime,
     run_lifetime,
+    run_strategy,
     write_heavy,
 )
 from repro.workloads import workload
@@ -68,3 +70,23 @@ class TestRetireBaseline:
         assert retire.iterations_completed <= aware.iterations_completed
         if retire.iterations_completed < 10:
             assert retire.final_failed_fraction < 0.10
+
+
+class TestRunStrategy:
+    @pytest.mark.parametrize("strategy, label", [
+        ("retire", "retire page on first failure"),
+        ("aware", "no leveling, no clustering"),
+        ("clustered", "no leveling, 2CL"),
+        ("start-gap", "start-gap, no clustering"),
+    ])
+    def test_strategy_selects_its_study(self, strategy, label):
+        assert strategy in STRATEGIES
+        result = run_strategy(
+            tiny_spec(), strategy, max_iterations=1, endurance_mean_writes=60
+        )
+        assert result.label == label
+
+    def test_unknown_strategy_refused(self):
+        with pytest.raises(ConfigError, match="unknown lifetime strategy 'nope'"):
+            run_strategy(tiny_spec(), "nope", max_iterations=1,
+                         endurance_mean_writes=60)

@@ -319,7 +319,7 @@ def workdir(tmp_path, monkeypatch):
 
 def _refused(capsys, workdir, argv, message):
     """``argv`` exits 2 with one stderr line starting ``message``, before
-    any work: no artifact, trace or checkpoint is written."""
+    any work: no artifact or trace is written."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -438,34 +438,20 @@ class TestLifetimeBadInput:
             ("--iterations must be >= 1", ["--iterations", "-1"],
              "--iterations must be >= 1, got -1"),
             ("--iterations must be >= 1", ["--iterations", "0"],
-             "--iterations must be >= 1, got 0"),
-            ("--checkpoint-every must be >= 0 iterations (0 = off), got -1",
-             ["--workload", "luindex", "--iterations", "1", "--checkpoint-every", "-1"],
-             "--checkpoint-every must be >= 0 iterations (0 = off), got -1"))
+             "--iterations must be >= 1, got 0"))
     def test_bad_value_exits_2(self, capsys, workdir, extra, message):
         _refused(capsys, workdir, ["lifetime"] + extra, f"lifetime: {message}")
 
-    @pytest.fixture(scope="class")
-    def checkpoint(self, tmp_path_factory):
-        """A checkpoint of the unclustered luindex study, outside the
-        working directory."""
-        path = str(tmp_path_factory.mktemp("ckpt") / "life.snap")
-        assert main(["-q", "lifetime", "--workload", "luindex", "--iterations", "2",
-                     "--checkpoint-every", "2", "--checkpoint", path]) == 0
-        return path
-
-    @pytest.mark.parametrize("extra, message", [
-        (["--workload", "luindex", "--strategy", "clustered"],
-         "its clustering is False, this run's is True"),
-        (["--workload", "avrora", "--strategy", "start-gap", "--endurance", "400"],
-         "its workload is 'luindex', this run's is 'avrora'"),
-    ], ids=["other-strategy", "other-workload"])
-    def test_resume_of_another_study_exits_2(
-        self, capsys, workdir, checkpoint, extra, message
-    ):
-        argv = ["lifetime", "--iterations", "4", "--resume", checkpoint] + extra
-        _refused(capsys, workdir, argv,
-                 f"snapshot: the checkpoint is of a different study: {message}")
+    @pytest.mark.parametrize("extra", [
+        ["--checkpoint-every", "2"], ["--resume", "x"],
+    ], ids=["checkpoint-every", "resume"])
+    def test_checkpoint_flags_are_gone(self, capsys, workdir, extra):
+        """Studies are not checkpointed: the old flags are unknown."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lifetime", "--workload", "luindex", "--iterations", "1"] + extra)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
 
 
 #: A one-cell sweep: a bad value that slips through runs quickly.
