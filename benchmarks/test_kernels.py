@@ -20,6 +20,7 @@ import pytest
 from repro.faults.generator import FailureModel
 from repro.hardware.geometry import Geometry
 from repro.hardware.pcm import EnduranceModel, PcmModule
+from repro.hardware.wear_leveling import StartGapWearLeveler
 from repro.heap import line_table
 from repro.heap.block import sorted_defrag_candidates
 from repro.heap.heap_table import HeapTable
@@ -472,6 +473,9 @@ def kernel_cases(seed=0):
     # The PCM write path: one seeded wearing stream, 8-byte field stores
     # and whole-object writes over a hot working set, run on a fresh
     # module to dozens of line failures. The state is compared whole.
+    # The second case adds the lifetime study's Start-Gap leveler and
+    # two-page clustering, so every line of a store is leveled and
+    # looked up in its region's redirection map.
     rng = random.Random(seed)
     stream = []
     for oid in range(20_000):
@@ -479,27 +483,33 @@ def kernel_cases(seed=0):
         size = 8 if rng.random() < 0.7 else rng.choice((16, 48, 96, 200))
         stream.append((line * 64 + rng.randrange(0, 64, 8), size, oid))
 
-    def wear(module_class):
+    def wear(module_class, leveled):
         module = module_class(
             size_bytes=4096 * 64,
-            geometry=geometry,
+            geometry=Geometry(region_pages=2) if leveled else geometry,
             endurance=EnduranceModel(mean_writes=40.0, cv=0.35, seed=seed),
+            clustering_enabled=leveled,
+            wear_leveler=StartGapWearLeveler(gap_write_interval=20) if leveled else None,
             failure_buffer_capacity=1 << 16,
             seed=seed,
         )
         write = module.write
         return [write(address, size, data) for address, size, data in stream], module
 
-    fast_results, fast_module = wear(PcmModule)
-    oracle_results, oracle_module = wear(ReferencePcmModule)
-    cases["hardware.PcmModule.write (vs oracle)"] = (
-        lambda: wear(PcmModule),
-        lambda: wear(ReferencePcmModule),
-        1 / 100,
-        fast_results == oracle_results
-        and len(fast_module.failed_logical_lines()) >= 5
-        and module_state(fast_module) == module_state(oracle_module),
-    )
+    for leveled, name in (
+        (False, "hardware.PcmModule.write (vs oracle)"),
+        (True, "hardware.PcmModule.write (start-gap + 2-page clustering)"),
+    ):
+        fast_results, fast_module = wear(PcmModule, leveled)
+        oracle_results, oracle_module = wear(ReferencePcmModule, leveled)
+        cases[name] = (
+            lambda leveled=leveled: wear(PcmModule, leveled),
+            lambda leveled=leveled: wear(ReferencePcmModule, leveled),
+            1 / 100,
+            fast_results == oracle_results
+            and len(fast_module.failed_logical_lines()) >= 5
+            and module_state(fast_module) == module_state(oracle_module),
+        )
     return cases
 
 
@@ -535,10 +545,11 @@ def test_kernel_speedups_and_identity():
         "workloads.draw_size (vs randint)": 1.25,
         # Under a third of the 18-23x measured locally.
         "failure-map build (50%, 2-page clustering)": 6.0,
-        # Half the measured 1.5x: one threshold draw per touched line
-        # (MT19937 seeding, the same C code on both sides) is about
-        # half of the fast side's time.
-        "hardware.PcmModule.write (vs oracle)": 0.75,
+        # Half the measured 1.6x (1.4x with the leveler and clustering):
+        # one threshold draw per touched line (MT19937 seeding, the same
+        # C code on both sides) is about half of the fast side's time.
+        "hardware.PcmModule.write (vs oracle)": 0.8,
+        "hardware.PcmModule.write (start-gap + 2-page clustering)": 0.7,
     }
     # The cheapest kernels time in tens of microseconds total, where a
     # single scheduler spike can sink any floor; one retry at higher

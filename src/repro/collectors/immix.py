@@ -630,7 +630,12 @@ class ImmixCollector:
     def _sweep_blocks(self, epoch: int, keep_old: bool) -> None:
         kept: List[Block] = []
         for block in self.blocks:
-            live_lines, scanned = block.rebuild_line_marks(epoch, keep_old=keep_old)
+            if block.evacuate:
+                # _evacuate_flagged rebuilds it again and records its
+                # conflicts then.
+                live_lines, scanned = block.rebuild_before_evacuation(epoch, keep_old)
+            else:
+                live_lines, scanned = block.rebuild_line_marks(epoch, keep_old=keep_old)
             self.stats.lines_swept += scanned
             self.stats.lines_marked += live_lines
             self.stats.blocks_swept += 1

@@ -57,7 +57,8 @@ class FailureBuffer:
         :attr:`InterruptKind.BUFFER_NEARLY_FULL` and stalls new writes.
     interrupt:
         Callback invoked with an :class:`InterruptKind` whenever the
-        hardware would interrupt the processor.
+        hardware would interrupt the processor; :meth:`connect` rewires
+        it.
     """
 
     def __init__(
@@ -80,6 +81,11 @@ class FailureBuffer:
         self.high_water_mark = 0
         #: Optional observability hook; see :mod:`repro.obs.trace`.
         self.tracer = None
+
+    def connect(self, interrupt: Optional[Callable[[InterruptKind], None]]) -> None:
+        """Deliver interrupts to ``interrupt`` from now on; None silences
+        them."""
+        self._interrupt = interrupt or _silent_interrupt
 
     # ------------------------------------------------------------------
     # Hardware-side operations

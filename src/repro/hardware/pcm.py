@@ -102,10 +102,6 @@ class EnduranceModel:
         return max(1, int(self.mean_writes * self.followup_fraction))
 
 
-def _silent_interrupt(kind: InterruptKind) -> None:
-    """Default interrupt sink for unwired modules."""
-
-
 class PcmModule:
     """A PCM module: an array of lines with wear, ECC, and a failure buffer.
 
@@ -149,11 +145,10 @@ class PcmModule:
         self.endurance = endurance
         self.ecc = EccDomain(ecc_entries_per_line)
         self.failure_buffer = FailureBuffer(
-            capacity=failure_buffer_capacity, interrupt=self._raise_interrupt
+            capacity=failure_buffer_capacity, interrupt=on_interrupt
         )
         self.clustering = ClusteringController(self.geometry) if clustering_enabled else None
         self.wear_leveler = wear_leveler or NoWearLeveling()
-        self._on_interrupt = on_interrupt or _silent_interrupt
         self._rng = random.Random(seed)
         # Per-line wear state, indexed by physical line over the
         # leveler's physical span (None without an endurance model):
@@ -188,22 +183,26 @@ class PcmModule:
         self._bind()
 
     def _bind(self) -> None:
-        """Bind the write path's translation once, from the wiring.
+        """Bind what every store reads, once, from the wiring.
 
-        With no leveler and no clustering, logical lines are physical
-        lines and neither hook is called at all.
+        Nothing bound here refers back to the module: the leveler's own
+        ``write_line``, the clustering controller's map dict and plain
+        numbers. With no leveler the leveler is not called at all, and
+        without clustering no map is looked up.
         """
         leveler = self.wear_leveler
-        if type(leveler) is NoWearLeveling:
-            self._on_write = None
-            self._translate = (
-                None if self.clustering is None else self.clustering.translate_line
-            )
-        else:
-            self._on_write = leveler.on_write
-            self._translate = (
-                leveler.translate if self.clustering is None else self._to_physical
-            )
+        self._line_bytes = self.geometry.pcm_line
+        self._level = None if type(leveler) is NoWearLeveling else leveler.write_line
+        self._region_maps = None if self.clustering is None else self.clustering._maps
+        self._region_lines = self.geometry.lines_per_region
+        endurance = self.endurance
+        if endurance is not None:
+            # EnduranceModel.first_failure_threshold's draw, unrolled.
+            mean = endurance.mean_writes
+            self._threshold_key = endurance._seed << 32
+            self._threshold_mean = mean
+            self._threshold_sigma = endurance.cv * mean
+            self._followup = endurance.followup_interval()
 
     def set_tracer(self, tracer) -> None:
         """Attach a tracer to the module and its sub-components."""
@@ -221,11 +220,13 @@ class PcmModule:
         self, handler: Optional[Callable[[InterruptKind], None]]
     ) -> None:
         """Wire the interrupt line to ``handler``; None unwires it (the
-        silent sink), so the module no longer holds its last owner."""
-        self._on_interrupt = handler or _silent_interrupt
+        silent sink), so the module no longer holds its last owner.
 
-    def _raise_interrupt(self, kind: InterruptKind) -> None:
-        self._on_interrupt(kind)
+        The failure buffer calls the handler itself: the module holds no
+        reference to its own methods, so once unwired it is freed by
+        reference counting alone.
+        """
+        self.failure_buffer.connect(handler)
 
     def _check_range(self, address: int, size: int) -> None:
         if address < 0 or size <= 0 or address + size > self.size_bytes:
@@ -235,12 +236,6 @@ class PcmModule:
         return AddressError(
             f"access [{address:#x}, +{size}) outside module of {self.size_bytes} bytes"
         )
-
-    def _to_physical(self, logical_line: int) -> int:
-        line = self.wear_leveler.translate(logical_line)
-        if self.clustering is not None:
-            line = self.clustering.translate_line(line)
-        return line
 
     # ------------------------------------------------------------------
     # Static failure injection (used by the fault-injection harness)
@@ -282,41 +277,49 @@ class PcmModule:
         A return of False means at least one covered line failed during
         this write: its data is parked in the failure buffer and the OS
         has been interrupted.
+
+        Each covered line is walked here: the leveler's ``write_line``
+        (when there is one) gives its leveled line, the region's
+        redirection map (when clustering has installed one) its physical
+        line, and the line's write count is compared with its next wear
+        event. Only a wear event leaves this loop for a call.
         """
         if address < 0 or size <= 0 or address + size > self.size_bytes:
             raise self._range_error(address, size)
         self.total_writes += 1
-        line_bytes = self.geometry.pcm_line
-        first = address // line_bytes
+        line_bytes = self._line_bytes
+        line = address // line_bytes
         last = (address + size - 1) // line_bytes
-        if first == last:
-            return self._write_line(first, data)
-        ok = True
-        for logical_line in range(first, last + 1):
-            if not self._write_line(logical_line, data):
-                ok = False
-        return ok
-
-    def _write_line(self, logical_line: int, data: object) -> bool:
-        if self._failed_logical[logical_line]:
-            # Software invariantly never writes failed lines; if it does
-            # the write is absorbed by the failure buffer like any
-            # failing write so no data is ever silently lost.
-            self._park_failed_write(logical_line, data)
-            return False
-        on_write = self._on_write
-        if on_write is not None:
-            on_write(logical_line)
+        failed = self._failed_logical
+        level = self._level
         counts = self._counts
-        if counts is None:
-            return True
-        translate = self._translate
-        physical = logical_line if translate is None else translate(logical_line)
-        count = counts[physical] + 1
-        counts[physical] = count
-        if count < self._next_event[physical]:
-            return True
-        return self._wear_event(logical_line, physical, count, data)
+        ok = True
+        while True:
+            if failed[line]:
+                # Software invariantly never writes failed lines; if it
+                # does the write is absorbed by the failure buffer like
+                # any failing write so no data is ever silently lost.
+                self.failure_buffer.insert(line * line_bytes, data)
+                ok = False
+            else:
+                physical = line if level is None else level(line)
+                if counts is not None:
+                    maps = self._region_maps
+                    if maps is not None:
+                        region_lines = self._region_lines
+                        rmap = maps.get(physical // region_lines)
+                        if rmap is not None:
+                            offset = physical % region_lines
+                            physical += rmap.logical_to_physical[offset] - offset
+                    count = counts[physical] + 1
+                    counts[physical] = count
+                    if count >= self._next_event[physical] and not self._wear_event(
+                        line, physical, count, data
+                    ):
+                        ok = False
+            if line == last:
+                return ok
+            line += 1
 
     def _wear_event(
         self, logical_line: int, physical: int, count: int, data: object
@@ -328,12 +331,17 @@ class PcmModule:
         """
         next_event = self._next_event
         if not next_event[physical]:
-            threshold = self.endurance.first_failure_threshold(physical)
+            sampled = seeded_gauss(
+                self._threshold_key ^ physical,
+                self._threshold_mean,
+                self._threshold_sigma,
+            )
+            threshold = max(1, int(sampled))
             next_event[physical] = threshold
             self._touched.append(physical)
             if count < threshold:
                 return True
-        next_event[physical] = count + self.endurance.followup_interval()
+        next_event[physical] = count + self._followup
         # A new cell sticks on this write.
         bit = self._rng.randrange(self.geometry.pcm_line * 8)
         if self.ecc.record_stuck_bit(physical, bit):

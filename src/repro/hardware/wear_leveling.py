@@ -24,6 +24,13 @@ class WearLeveler:
         """Notify the leveler of one line write (may trigger remapping)."""
         raise NotImplementedError
 
+    def write_line(self, line_index: int) -> int:
+        """One line write: :meth:`on_write`, then the line's
+        :meth:`translate` under the mapping that write left. This is
+        the one call the PCM module makes per written line."""
+        self.on_write(line_index)
+        return self.translate(line_index)
+
     def physical_lines(self, n_lines: int) -> int:
         """Size of the physical index space ``translate`` maps the
         logical lines ``[0, n_lines)`` into."""
@@ -97,6 +104,21 @@ class StartGapWearLeveler(WearLeveler):
             count = 0
             self._move_gap(domain)
         self._write_counts[domain] = count
+
+    def write_line(self, line_index: int) -> int:
+        # on_write then translate, inlined: the store path's one call.
+        n = self.domain_lines
+        domain, offset = divmod(line_index, n)
+        counts = self._write_counts
+        count = counts.get(domain, 0) + 1
+        if count >= self.gap_write_interval:
+            count = 0
+            self._move_gap(domain)
+        counts[domain] = count
+        slot = (offset + self._starts.get(domain, 0)) % (n + 1)
+        if slot >= self._gaps.get(domain, n):
+            slot = (slot + 1) % (n + 1)
+        return domain * n + (slot % n)
 
     def _move_gap(self, domain: int) -> None:
         n = self.domain_lines

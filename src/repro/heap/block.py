@@ -303,20 +303,45 @@ class Block:
                             self.mark_conflicts + self._failed_line_conflicts(survivors)
                         )
                     return self._finish_sweep()
+        # A FAILED mark is hardware truth; a survivor overlapping it
+        # (pinned, or an aborted evacuation) must never mask it as LIVE
+        # — that would let a later sweep hand the failed line back to
+        # the allocator. Record the conflict for the auditor.
+        covered = self._rebuild(epoch, keep_old)
+        self.mark_conflicts = (
+            self._failed_line_conflicts(self.objects) if covered else []
+        )
+        return self._finish_sweep()
+
+    def rebuild_before_evacuation(
+        self, epoch: int, keep_old: bool = False
+    ) -> Tuple[int, int]:
+        """The full rebuild of a block flagged for evacuation, without
+        the conflict search.
+
+        Survivors, line marks and the returned counts are those of
+        :meth:`rebuild_line_marks`. The evacuation that follows moves
+        the survivors out and rebuilds the block again, and that
+        rebuild records the conflicts of whatever stayed; until then
+        the block records none.
+        """
+        self._rebuild(epoch, keep_old)
+        self.mark_conflicts = []
+        return self._finish_sweep()
+
+    def _rebuild(self, epoch: int, keep_old: bool) -> bool:
+        """Keep the survivors and re-derive every line state from them
+        and ``failed_lines``; True if a span covers a FAILED line."""
         states = self.table.lines
         base = self._base
         states[base : base + self.n_lines] = bytes(self.n_lines)
         for line in self.failed_lines:
             states[base + line] = FAILED
-        survivors = [obj for obj in objects if obj.mark == epoch or (keep_old and obj.old)]
-        # A FAILED mark is hardware truth; a survivor overlapping it
-        # (pinned, or an aborted evacuation) must never mask it as LIVE
-        # — that would let a later sweep hand the failed line back to
-        # the allocator. Record the conflict for the auditor.
-        covered = self._mark_spans(survivors)
-        self.mark_conflicts = self._failed_line_conflicts(survivors) if covered else []
+        survivors = [
+            obj for obj in self.objects if obj.mark == epoch or (keep_old and obj.old)
+        ]
         self.objects = survivors
-        return self._finish_sweep()
+        return self._mark_spans(survivors)
 
     def _mark_spans(self, survivors: List[SimObject]) -> bool:
         """Merge the survivors' line spans into the segment; True if a

@@ -272,12 +272,32 @@ class VirtualMachine:
             # itself decides whether this collector keeps one.
             self.collector.write_barrier(parent, child)
         if self.config.wear_writes:
-            self._write_slot(parent)
+            # A field store wears the object's first word; addressed
+            # here, as in mutate, so a store is one PCM call.
+            block, offset = parent.block, parent.offset
+            if block is not None and offset is not None and parent.size:
+                page_size = self.geometry.page
+                page_index = block.pages[offset // page_size].index
+                if page_index >= 0:  # a borrowed DRAM page has no wear
+                    self.injector.pcm.write(
+                        page_index * page_size + offset % page_size, 8, data=parent.oid
+                    )
+            else:
+                self._write_unblocked_slot(parent)
 
     def mutate(self, obj: SimObject) -> None:
-        """An application store into the object (wears its lines)."""
+        """An application store into the object (wears its first word)."""
         if self.config.wear_writes:
-            self._write_slot(obj)
+            block, offset = obj.block, obj.offset
+            if block is not None and offset is not None and obj.size:
+                page_size = self.geometry.page
+                page_index = block.pages[offset // page_size].index
+                if page_index >= 0:  # a borrowed DRAM page has no wear
+                    self.injector.pcm.write(
+                        page_index * page_size + offset % page_size, 8, data=obj.oid
+                    )
+            else:
+                self._write_unblocked_slot(obj)
 
     def roots(self) -> List[SimObject]:
         return list(self._roots.values())
@@ -387,17 +407,9 @@ class VirtualMachine:
                 page_index * self.geometry.page + offset, length, data=obj.oid
             )
 
-    def _write_slot(self, obj: SimObject) -> None:
-        """Write one word of the object (a field store): its first word."""
-        block, offset = obj.block, obj.offset
-        if block is not None and offset is not None and obj.size:
-            page_size = self.geometry.page
-            page_index = block.pages[offset // page_size].index
-            if page_index >= 0:
-                self.injector.pcm.write(
-                    page_index * page_size + offset % page_size, 8, data=obj.oid
-                )
-            return
+    def _write_unblocked_slot(self, obj: SimObject) -> None:
+        """A field store into an object no block holds (a large object,
+        or one not placed): the first word of its first extent."""
         extents = self._physical_extents(obj)
         if not extents:
             return

@@ -39,8 +39,10 @@ SCHEMA_VERSION = 1
 #: Temp files younger than this survive :meth:`ResultCache.sweep_orphans`.
 #: A live ``put`` holds its temp file for milliseconds (one JSON dump
 #: plus a rename), so anything this old was abandoned by a killed
-#: writer; sweeping younger files would race writers in other
-#: processes — the daemon and a sweep sharing one cache directory.
+#: writer. Every cache-using command sweeps on startup, so sweeping
+#: younger files would race a live writer: a sweep starting while
+#: another process shares the cache directory (a second sweep, or its
+#: workers) could delete a temp file that process is about to rename.
 ORPHAN_MIN_AGE_S = 60.0
 
 

@@ -2,9 +2,10 @@
 
 :class:`ReferencePcmModule` is :class:`~repro.hardware.pcm.PcmModule`
 with the write path it had before per-line next-event counters: a
-``range`` of covered lines per store, the leveler and clustering hooks
-called through :meth:`PcmModule._to_physical` on every line, a dict of
-write counts, a dict of cached thresholds, and the stuck-cell rule
+``range`` of covered lines per store, the leveler's ``on_write`` and
+``translate`` and the clustering controller's ``translate_line``
+called on every line, a dict of write counts, a dict of cached
+thresholds, and the stuck-cell rule
 ``count >= threshold and (count - threshold) % interval == 0`` evaluated
 on every write. Thresholds come from ``random.Random(...).gauss``.
 
@@ -76,7 +77,9 @@ class ReferencePcmModule(PcmModule):
             self._park_failed_write(logical_line, data)
             return False
         self.wear_leveler.on_write(logical_line)
-        physical = self._to_physical(logical_line)
+        physical = self.wear_leveler.translate(logical_line)
+        if self.clustering is not None:
+            physical = self.clustering.translate_line(physical)
         if self.endurance is None:
             return True
         count = self._write_counts.get(physical, 0) + 1

@@ -1,11 +1,15 @@
 """Tests for the PCM module behavioural model."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import AddressError
 from repro.hardware.failure_buffer import InterruptKind
 from repro.hardware.geometry import Geometry
 from repro.hardware.pcm import EnduranceModel, PcmModule
+from tests.hardware.test_pcm_write_path import LEVELERS
 
 REGION = Geometry().region
 
@@ -157,3 +161,88 @@ class TestClusteredDynamicFailures:
                 module.write(geometry.line_address(line), 1)
         failed = module.failed_logical_lines()
         assert failed == {0, 1, 2}
+
+
+class Owner:
+    """Holds a module and takes its interrupts, as the OS does."""
+
+    def __init__(self, module):
+        self.module = module
+        self.interrupts = []
+        module.connect_interrupt(self.on_interrupt)
+
+    def on_interrupt(self, kind):
+        self.interrupts.append(kind)
+
+
+def worn_module(leveler, clustering):
+    """A module that has failed lines, parked writes and, with
+    clustering, installed redirection maps."""
+    module = PcmModule(
+        size_bytes=4 * REGION,
+        endurance=EnduranceModel(mean_writes=3, cv=0.0),
+        ecc_entries_per_line=0,
+        clustering_enabled=clustering,
+        wear_leveler=LEVELERS[leveler](),
+        failure_buffer_capacity=4096,
+    )
+    module.inject_static_failures([200])
+    return module
+
+
+def wear(module):
+    for line in range(0, 64, 4):
+        for _ in range(8):
+            module.write(line * 64, 8, data=line)
+    module.write(200 * 64, 8, data="parked")
+
+
+class TestAcyclicModule:
+    """A module refers to nothing that refers back to it: once its
+    owner unwires the interrupt line, reference counting frees it."""
+
+    @pytest.fixture(autouse=True)
+    def no_cyclic_collector(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if was_enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("leveler", sorted(LEVELERS))
+    @pytest.mark.parametrize("clustering", [False, True])
+    def test_unwired_module_is_freed_by_its_last_reference(self, leveler, clustering):
+        module = worn_module(leveler, clustering)
+        owner = Owner(module)
+        wear(module)
+        assert module.failed_line_count() > 1
+        assert InterruptKind.WRITE_FAILURE in owner.interrupts
+        if clustering:
+            assert module.clustering.installed_map_count()
+        module.connect_interrupt(None)
+        freed = weakref.ref(module)
+        del module, owner
+        assert freed() is None
+
+    def test_a_wired_owner_keeps_the_module_until_unwired(self):
+        # The owner's handler is the one cycle; without the unwiring only
+        # the cyclic collector frees the pair.
+        module = worn_module("start-gap", True)
+        owner = Owner(module)
+        wear(module)
+        freed = weakref.ref(module)
+        del module, owner
+        assert freed() is not None
+        gc.collect()
+        assert freed() is None
+
+    def test_unwiring_stops_delivery_to_the_old_handler(self):
+        module = worn_module("none", False)
+        owner = Owner(module)
+        assert not module.write(200 * 64, 8)
+        delivered = len(owner.interrupts)
+        assert delivered
+        module.connect_interrupt(None)
+        assert not module.write(200 * 64, 8, data="still parked")
+        assert len(owner.interrupts) == delivered
+        assert module.read(200 * 64) == "still parked"

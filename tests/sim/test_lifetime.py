@@ -1,10 +1,14 @@
 """Tests for the memory-lifetime experiments."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from repro.errors import ConfigError, ReproError
+from repro.hardware.pcm import PcmModule
+from repro.sim import lifetime
 from repro.sim.lifetime import (
     STRATEGIES,
     retire_on_first_failure_lifetime,
@@ -90,3 +94,28 @@ class TestRunStrategy:
         with pytest.raises(ConfigError, match="unknown lifetime strategy 'nope'"):
             run_strategy(tiny_spec(), "nope", max_iterations=1,
                          endurance_mean_writes=60)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_module_is_freed_when_the_study_returns(self, strategy, monkeypatch):
+        """With the cyclic collector off, reference counting alone frees
+        the study's module: nothing holds it once the study returns."""
+        modules = []
+
+        def tracked(*args, **kwargs):
+            module = PcmModule(*args, **kwargs)
+            modules.append(weakref.ref(module))
+            return module
+
+        monkeypatch.setattr(lifetime, "PcmModule", tracked)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_strategy(
+                tiny_spec(), strategy, max_iterations=2, endurance_mean_writes=40
+            )
+            assert len(modules) == 1
+            assert modules[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert result.records[0].dynamic_failures > 0
