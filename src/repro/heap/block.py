@@ -58,7 +58,6 @@ class Block:
         "table",
         "slot",
         "n_lines",
-        "line_states",
         "failed_lines",
         "objects",
         "evacuate",
@@ -78,6 +77,7 @@ class Block:
         "_swept_line_gen",
         "_swept_count",
         "_swept_live_lines",
+        "__weakref__",  # lets tests see a retired block freed
     )
 
     def __init__(
@@ -103,7 +103,6 @@ class Block:
         self.slot = table.register(self)
         self._base = table.base(self.slot)
         self.n_lines = geometry.immix_lines_per_block
-        self.line_states = LineSegment(table, self.slot, self)
         self.failed_lines: Set[int] = set()
         self.objects: List[SimObject] = []
         #: Flagged by defragmentation / dynamic-failure handling.
@@ -112,8 +111,9 @@ class Block:
         #: the sticky (generational) collector sweeps only these.
         self.allocated_since_gc = False
         #: ``(oid, line)`` pairs recorded by the last sweep for live
-        #: objects found overlapping a FAILED line. The heap auditor
-        #: (:mod:`repro.check`) reports each as a violation.
+        #: objects found overlapping a FAILED line. Only tests and
+        #: ``benchmarks/test_kernels.py`` read them; the heap auditor's
+        #: ``check_object_placement`` recomputes overlaps itself.
         self.mark_conflicts: List[Tuple[int, int]] = []
         #: Object ids whose evacuation copy failed and were restored at
         #: their old offset; they may legitimately overlap failed lines
@@ -140,6 +140,18 @@ class Block:
     def virtual_base(self) -> int:
         return self.virtual_index * self.geometry.block
 
+    @property
+    def line_states(self) -> LineSegment:
+        """A view of this block's lines in the heap table.
+
+        Built on each access, so the block itself holds nothing that
+        refers back to it: a block that a sweep retires is freed by
+        reference counting, with its failed-line set and run summary,
+        and never waits for CPython's cyclic collector. Writes through
+        the view invalidate the block's caches (:meth:`touch_lines`).
+        """
+        return LineSegment(self.table, self.slot, self)
+
     def touch_lines(self) -> None:
         """Invalidate the free-run summary after a line-state mutation.
 
@@ -150,8 +162,15 @@ class Block:
         self.table.touch()
 
     def touch_objects(self) -> None:
-        """Invalidate the extent index after an object-list mutation."""
+        """Invalidate the extent index after an object-list mutation.
+
+        The stale index is dropped, not just outdated: it may hold dead
+        objects whose ``block`` still names this block, a cycle that
+        would keep a retired block alive until the end of the cell.
+        """
         self._obj_gen += 1
+        self._extent_objs = []
+        self._extent_starts = []
 
     def _seed_failed_pages_bulk(self, pages: List[HeapPage]) -> None:
         """Seed every page's failed PCM lines in one pass.
@@ -221,7 +240,10 @@ class Block:
     def line_summary(self) -> FreeRunSummary:
         """Free runs + aggregates, cached until a line state mutates."""
         if self._summary_gen != self._line_gen:
-            self._summary = line_table.free_run_summary(self.line_states)
+            base = self._base
+            self._summary = line_table.free_run_summary(
+                self.table.lines[base : base + self.n_lines]
+            )
             self._summary_gen = self._line_gen
         return self._summary  # type: ignore[return-value]
 
@@ -306,7 +328,8 @@ class Block:
         # A FAILED mark is hardware truth; a survivor overlapping it
         # (pinned, or an aborted evacuation) must never mask it as LIVE
         # — that would let a later sweep hand the failed line back to
-        # the allocator. Record the conflict for the auditor.
+        # the allocator. Record the conflict (tests and the kernel
+        # benchmarks read it).
         covered = self._rebuild(epoch, keep_old)
         self.mark_conflicts = (
             self._failed_line_conflicts(self.objects) if covered else []

@@ -5,11 +5,11 @@ encodings, exactly like MMTk's — which makes a *flat whole-heap* layout
 natural: instead of every :class:`~.block.Block` owning a private
 258-byte table, one :class:`HeapTable` holds a single ``bytearray`` of
 line states and a parallel ``bytearray`` of failure marks for the
-entire heap, and each block holds an ``(offset, length)`` view into
-them (:class:`LineSegment`). Free-run scanning, sweeping, and
-defrag-candidate ranking then become single C-speed passes over the
-whole heap (``bytes.count`` / ``bytes.find``) rather than a Python
-loop over blocks.
+entire heap, and each block reads them through an ``(offset, length)``
+view (:class:`LineSegment`, built on access so a block holds no
+cycle). Free-run scanning, sweeping, and defrag-candidate ranking then
+become single C-speed passes over the whole heap (``bytes.count`` /
+``bytes.find``) rather than a Python loop over blocks.
 
 Layout: segments are laid out back to back with one *guard byte*
 between consecutive blocks. The guard holds :data:`UNMAPPED` (0xFF),

@@ -9,7 +9,7 @@ objects on failed lines", "never move pinned objects" — is checkable.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 #: Allocation alignment in bytes (object sizes round up to this).
 ALIGNMENT = 8
@@ -53,7 +53,9 @@ class SimObject:
         self.block = None  # repro.heap.block.Block when small/medium
         self.offset: Optional[int] = None  # byte offset within the block
         self.los_placement = None  # repro.heap.large_object_space.Placement
-        self.refs: List["SimObject"] = []
+        #: Outgoing references. A leaf shares the empty tuple; the
+        #: first stored reference gives the object its own list.
+        self.refs: Sequence["SimObject"] = ()
         self.pinned = pinned
         #: Mark-state epoch; collectors compare against their epoch
         #: counter rather than clearing bits heap-wide every cycle.
@@ -79,10 +81,14 @@ class SimObject:
         return self.los_placement is not None
 
     def add_ref(self, target: "SimObject") -> None:
-        self.refs.append(target)
+        refs = self.refs
+        if refs:
+            refs.append(target)  # type: ignore[attr-defined]
+        else:
+            self.refs = [target]
 
     def clear_refs(self) -> None:
-        self.refs.clear()
+        self.refs = ()
 
     def line_span(self, line_size: int) -> range:
         """Block-relative Immix line indices this object covers."""

@@ -266,7 +266,11 @@ class VirtualMachine:
         self._roots.pop(obj.oid, None)
 
     def add_ref(self, parent: SimObject, child: SimObject) -> None:
-        parent.refs.append(child)
+        refs = parent.refs
+        if refs:
+            refs.append(child)  # type: ignore[attr-defined]
+        else:
+            parent.refs = [child]  # a leaf's first reference
         if parent.old and not child.old:
             # Only an old->young edge can need remembering; the barrier
             # itself decides whether this collector keeps one.

@@ -102,15 +102,18 @@ _Run = TypeVar("_Run", bound=Callable[..., object])
 def machine_scope(run: _Run) -> _Run:
     """Pause CPython's cyclic collector for one simulated machine's life.
 
-    A machine is millions of small cyclic Python objects (objects and
-    their blocks, the OS failure handler and the VM), and CPython's
+    A live machine is many small cyclic Python objects (blocks and the
+    objects in them, the OS failure handler and the VM), and CPython's
     collector would walk them over and over while they are alive, then
     leave the dead machine for a full generation-2 pass. Instead, the
-    wrapped call runs with the collector disabled; on exit, normal or
-    by exception, one generation-0 pass frees the machine and the
-    caller's collector state is restored. Everything born in the run is
-    still in generation 0, so that pass walks the run's own objects and
-    none of the rest of the process.
+    wrapped call runs with the collector disabled. What the run drops
+    holds no cycle (a block a sweep retires refers to nothing that
+    refers back to it, and a leaf object holds no list), so reference
+    counting frees it at once. On exit, normal or by exception, one
+    generation-0 pass frees only the final machine and the caller's
+    collector state is restored. Everything born in the run is still in
+    generation 0, so that pass walks the run's own objects and none of
+    the rest of the process.
 
     The contract: nothing created before the call may still hold the
     machine when it returns, or the pass keeps it and promotes it to an

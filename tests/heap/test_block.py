@@ -1,12 +1,18 @@
 """Tests for Immix blocks and false-failure seeding."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.hardware.geometry import Geometry
 from repro.heap.block import Block, block_is_perfect, perfect_block
+from repro.heap.heap_table import HeapTable
 from repro.heap.line_table import FAILED, FREE, LIVE, LIVE_PINNED
 from repro.heap.object_model import SimObject
 from repro.heap.page_supply import HeapPage
+from repro.runtime.vm import VirtualMachine, VmConfig
+from repro.units import MiB
 
 G = Geometry()  # 256 B Immix lines, 4 KB pages, 32 KB blocks
 
@@ -175,3 +181,94 @@ class TestMetrics:
     def test_largest_hole_bytes(self):
         block = Block(0, make_pages(), G)
         assert block.largest_hole_bytes() == G.block
+
+
+@pytest.fixture
+def collector_off():
+    """Run with CPython's cyclic collector off, as a simulated cell does."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+def class_blocks(collector):
+    """Every block a mark-sweep collector's size classes hold."""
+    return [block for space in collector._classes.values() for block in space.blocks]
+
+
+@pytest.mark.usefixtures("collector_off")
+class TestAcyclicBlock:
+    """A block holds nothing that refers back to it, so a retired block is
+    freed by reference counting the moment its last reference goes."""
+
+    def test_retired_block_is_freed_when_dropped(self):
+        table = HeapTable(G)
+        block = Block(0, make_pages({0: {5}, 3: {0}}), G, table)
+        block.line_summary()
+        assert block.line_states[1] == FAILED
+        ref = weakref.ref(block)
+        table.retire(block.slot)
+        del block
+        assert ref() is None
+
+    def test_swept_block_drops_its_extent_index(self):
+        # A dead object still names its block; an extent index kept
+        # past the sweep would close a cycle through it.
+        table = HeapTable(G)
+        block = Block(0, make_pages(), G, table)
+        dead = SimObject(0, 64)
+        block.place(dead, 0)
+        assert block.objects_overlapping_line(0) == [dead]
+        block.rebuild_line_marks(epoch=1)
+        assert block.objects == [] and dead.block is block
+        ref = weakref.ref(block)
+        table.retire(block.slot)
+        del block, dead
+        assert ref() is None
+
+    @pytest.mark.parametrize("collector", ("immix", "sticky-immix"))
+    def test_block_an_immix_sweep_releases_is_freed(self, collector):
+        vm = VirtualMachine(VmConfig(heap_bytes=1 * MiB, collector=collector))
+        root = vm.alloc(64)
+        vm.add_root(root)
+        for _ in range(1200):
+            vm.alloc(100)  # leaf garbage over several blocks
+        blocks = list(vm.collector.blocks)
+        assert len(blocks) > 2
+        refs = [weakref.ref(block) for block in blocks]
+        del blocks
+        vm.collect(force_full=True)
+        kept = [ref() for ref in refs if ref() is not None]
+        assert kept == [root.block]
+        assert vm.collector.blocks == kept
+
+    @pytest.mark.parametrize("collector", ("marksweep", "sticky-marksweep"))
+    def test_block_a_mark_sweep_sweep_retires_is_freed(self, collector):
+        vm = VirtualMachine(VmConfig(heap_bytes=1 * MiB, collector=collector))
+        root = vm.alloc(64)
+        vm.add_root(root)
+        # Fill whole blocks of the 128 B class, so no never-used cell
+        # still names a block the sweep retires.
+        cells = G.block // 128
+        for _ in range(3 * cells):
+            vm.alloc(100)
+        blocks = [block for block in class_blocks(vm.collector) if root.block is not block]
+        assert len(blocks) == 3
+        refs = [weakref.ref(block) for block in blocks]
+        del blocks
+        vm.collect(force_full=True)
+        assert [ref() for ref in refs] == [None, None, None]
+        assert class_blocks(vm.collector) == [root.block]
+
+    def test_write_through_line_states_invalidates_the_summary(self):
+        block = Block(0, make_pages(), G)
+        before = block.line_summary()
+        block.line_states[40] = LIVE
+        after = block.line_summary()
+        assert after is not before
+        assert after.free_lines == before.free_lines - 1
+        assert (40, 1) not in after.runs and after.runs[0] == (0, 40)
+        block.line_states[40:42] = bytes([FREE, FAILED])
+        assert block.line_summary().runs[1] == (42, G.immix_lines_per_block - 42)

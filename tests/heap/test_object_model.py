@@ -60,7 +60,30 @@ class TestSimObject:
         a.add_ref(b)
         assert a.refs == [b]
         a.clear_refs()
-        assert a.refs == []
+        assert not a.refs
+
+    def test_fresh_object_refs_are_empty_and_iterable(self):
+        a, b = SimObject(0, 16), SimObject(1, 16)
+        assert not a.refs
+        assert list(a.refs) == []
+        # Leaves share one empty tuple rather than a list each.
+        assert a.refs is b.refs
+
+    def test_first_ref_gives_the_object_its_own_list(self):
+        a, b, c = SimObject(0, 16), SimObject(1, 16), SimObject(2, 16)
+        a.add_ref(b)
+        refs = a.refs
+        a.add_ref(c)
+        assert a.refs is refs
+        assert a.refs == [b, c]
+        assert not b.refs and not c.refs
+
+    def test_cleared_object_takes_refs_again(self):
+        a, b = SimObject(0, 16), SimObject(1, 16)
+        a.add_ref(b)
+        a.clear_refs()
+        a.add_ref(b)
+        assert a.refs == [b]
 
     def test_repr_mentions_pin(self):
         assert "pinned" in repr(SimObject(0, 16, pinned=True))

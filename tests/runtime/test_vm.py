@@ -94,6 +94,33 @@ class TestAllocation:
         vm.collect()  # nursery: child survives through the remset
         assert child.old
 
+    def test_add_ref_gives_a_leaf_its_list(self):
+        vm = make_vm()
+        parent, child, other = vm.alloc(64), vm.alloc(64), vm.alloc(64)
+        assert not parent.refs
+        vm.add_ref(parent, child)
+        refs = parent.refs
+        assert refs == [child]
+        vm.add_ref(parent, other)
+        assert parent.refs is refs
+        assert refs == [child, other]
+        assert not child.refs and not other.refs
+
+    @pytest.mark.parametrize("collector", ["sticky-immix", "sticky-marksweep"])
+    def test_write_barrier_remembers_an_old_leafs_first_edge(self, collector):
+        vm = make_vm(collector=collector)
+        parent = vm.alloc(64)
+        vm.add_root(parent)
+        vm.collect(force_full=True)
+        assert parent.old and not parent.refs
+        young = vm.alloc(64)
+        vm.add_ref(young, vm.alloc(64))  # young -> young: not remembered
+        assert not vm.collector._remset
+        vm.add_ref(parent, young)
+        assert vm.collector._remset == {parent}
+        vm.add_ref(young, parent)  # young -> old: not remembered
+        assert vm.collector._remset == {parent}
+
     def test_marksweep_collector_selectable(self):
         vm = make_vm(collector="marksweep")
         obj = vm.alloc(64)
@@ -139,6 +166,25 @@ class TestDynamicFailures:
         before = pcm.total_writes
         vm.mutate(obj)
         assert pcm.total_writes == before + 1
+
+    def test_add_ref_wears_the_parents_first_word(self, monkeypatch):
+        vm, pcm = self.make_wearing_vm()
+        parent, child = vm.alloc(100), vm.alloc(100)
+        vm.add_root(parent)
+        stores = []
+        write = pcm.write
+
+        def spy(address, size=1, data=None):
+            stores.append((address, size, data))
+            return write(address, size, data)
+
+        monkeypatch.setattr(pcm, "write", spy)
+        vm.add_ref(parent, child)  # the leaf's first reference
+        vm.add_ref(parent, child)
+        vm.mutate(parent)
+        assert len(stores) == 3
+        assert stores[0][1:] == (8, parent.oid)
+        assert stores[0] == stores[1] == stores[2]
 
     def test_dynamic_failures_evacuate_objects(self):
         vm, pcm = self.make_wearing_vm()

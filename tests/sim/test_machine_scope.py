@@ -8,6 +8,7 @@ import pytest
 
 from repro.check import campaign
 from repro.faults.generator import FailureModel
+from repro.heap.block import Block
 from repro.obs.trace import Tracer
 from repro.sim import machine
 from repro.sim.machine import RunConfig, run_benchmark, run_wearing_benchmark
@@ -134,6 +135,35 @@ class TestResultsUnchanged:
         assert run_wearing_benchmark(config) == run_wearing_benchmark.__wrapped__(
             config
         )
+
+
+@pytest.mark.usefixtures("collector_on")
+@pytest.mark.parametrize("collector", COLLECTORS)
+def test_scope_pass_finds_only_the_final_collectors_blocks(collector):
+    """A block a sweep retires is freed by reference counting during the
+    run, so the end-of-cell pass meets only blocks still registered in
+    the final collector's heap table."""
+    config = RunConfig(
+        workload="luindex",
+        collector=collector,
+        failure_model=FailureModel(rate=0.25),
+        heap_multiplier=1.25,
+        scale=0.2,
+    )
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_benchmark(config)
+        blocks = [obj for obj in gc.garbage if isinstance(obj, Block)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert blocks
+    assert len({id(block.table) for block in blocks}) == 1
+    retired = [block for block in blocks if block.table.owners[block.slot] is not block]
+    assert retired == []
+    del blocks
+    gc.collect()
 
 
 @pytest.mark.usefixtures("collector_on")
