@@ -44,12 +44,11 @@ checkpointed: rerun it, and it prints the same bytes.
 Output streams follow one convention (see :mod:`repro.obs.log`):
 stdout carries primary output — human reports (suppressed by ``-q``)
 and machine-readable JSON (never suppressed) — while stderr carries
-narration. ``figures``, ``sweep`` and ``bench`` accept ``--trace`` and
-``--metrics-out`` to record Chrome traces / Prometheus metrics of the
-runs they execute (a traced grid takes ``run_grid``'s in-process,
-uncached route). ``bench --wear WRITES`` runs its cell on a *wearing*
-module, so dynamic failures arrive mid-run and the hardware failure
-path is hot; ``--jsonl`` also dumps the raw events.
+narration. ``figures``, ``sweep`` and ``bench`` accept ``--trace`` to
+record Chrome traces of the runs they execute (a traced grid takes
+``run_grid``'s in-process, uncached route). ``bench --wear WRITES``
+runs its cell on a *wearing* module, so dynamic failures arrive
+mid-run and the hardware failure path is hot.
 
 Every command checks a run-shape flag with the plan cell checker of
 its field, so it accepts exactly what a plan cell does; a bad value
@@ -82,7 +81,7 @@ Examples::
     python -m repro report sweep.ledger.jsonl --json --trace-out wall.json
     python -m repro bench pmd --rate 0.25 --clustering 2 --heap 2.0
     python -m repro bench luindex --scale 0.1 --clustering 2 --wear 25 \
-        --trace trace.json --jsonl trace.jsonl
+        --trace trace.json
     python -m repro check --seed 0
     python -m repro lifetime --strategy retire --iterations 10
 """
@@ -100,16 +99,9 @@ from typing import Dict, List, Optional
 from .check.audit import VERIFY_LEVELS
 from .errors import CellsQuarantinedError, ConfigError, PlanError
 from .faults.generator import FailureModel
-from .ioutil import atomic_write_json, atomic_write_text
+from .ioutil import atomic_write_json
 from .obs import log as obslog
 from .obs.ledger import SweepLedger, SweepProgress, aggregate, read_ledger
-from .obs.metrics import (
-    SWEEP_CRASHES_TOTAL,
-    SWEEP_QUARANTINED_CELLS_TOTAL,
-    SWEEP_RETRIES_TOTAL,
-    SWEEP_TIMEOUTS_TOTAL,
-    MetricsRegistry,
-)
 from .obs.profile import merge_profiles, render_hotspots
 from .obs.trace import DEFAULT_CAPACITY, Tracer
 from .sim.cache import ResultCache
@@ -420,12 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         "module, static failures only)",
     )
     bench.add_argument(
-        "--jsonl",
-        metavar="PATH",
-        default=None,
-        help="also write the raw trace events as JSON Lines to PATH",
-    )
-    bench.add_argument(
         "--buffer",
         type=int,
         default=DEFAULT_CAPACITY,
@@ -588,32 +574,10 @@ def _fault_tolerance_problems(args) -> tuple:
     )
 
 
-def _sweep_metrics_registry(
-    stats, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Executor counters as metrics, added to ``registry`` (a traced
-    sweep's, which its tracers fed) or to a fresh one."""
-    registry = registry if registry is not None else MetricsRegistry()
-    report = stats.fault_tolerance
-    registry.counter(
-        SWEEP_RETRIES_TOTAL, "cell attempts retried after a failure"
-    ).inc(report.retries)
-    registry.counter(
-        SWEEP_TIMEOUTS_TOTAL, "cell attempts killed for overrunning --timeout"
-    ).inc(report.timeouts)
-    registry.counter(
-        SWEEP_CRASHES_TOTAL, "worker processes that died mid-cell"
-    ).inc(report.worker_crashes)
-    registry.counter(
-        SWEEP_QUARANTINED_CELLS_TOTAL, "cells abandoned after exhausting retries"
-    ).inc(len(report.quarantined))
-    return registry
-
-
 def _add_observability_arguments(
     parser: argparse.ArgumentParser, directory: bool
 ) -> None:
-    """Shared ``--trace``/``--metrics-out`` knobs.
+    """The shared ``--trace`` knob.
 
     Grid commands take a directory (one Chrome trace per cell); bench
     takes a single output file.
@@ -633,12 +597,6 @@ def _add_observability_arguments(
             default=None,
             help="record a Chrome trace of the measured run to PATH",
         )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="write Prometheus text-format metrics to PATH",
-    )
 
 
 def _build_sweep_recorder(args):
@@ -673,11 +631,6 @@ def _build_cache(args) -> Optional[ResultCache]:
     if removed:
         obslog.debug(f"cache: removed {removed} orphaned temp file(s)")
     return cache
-
-
-def _write_metrics(registry: MetricsRegistry, path: str) -> None:
-    atomic_write_text(path, registry.render_prometheus())
-    obslog.info(f"metrics: {path}")
 
 
 def _render_phase_breakdown(breakdown: dict, total: float) -> List[str]:
@@ -868,9 +821,6 @@ def cmd_figures(args) -> int:
             f"cache: {counters['hits']} hits, {counters['misses']} misses, "
             f"{counters['stores']} stores ({args.cache_dir})"
         )
-    if args.metrics_out:
-        registry = tracing.registry if tracing is not None else MetricsRegistry()
-        _write_metrics(registry, args.metrics_out)
     if ledger is not None and ledger.path:
         obslog.info(
             f"ledger: {ledger.path} ({len(ledger.events)} parent events; "
@@ -956,11 +906,10 @@ def cmd_sweep(args) -> int:
         )
         return 2
     if args.trace:
-        tracing, ledger = _trace_directory(args), None
-        results, stats = run_grid(grid, tracing=tracing)
+        ledger = None
+        results, stats = run_grid(grid, tracing=_trace_directory(args))
         obslog.info(f"traces: {len(grid)} cell(s) in {args.trace}")
     else:
-        tracing = None
         ledger, profile_dir = _build_sweep_recorder(args)
         results, stats = run_grid(
             grid,
@@ -981,9 +930,6 @@ def cmd_sweep(args) -> int:
                 f"resume: {stats.cache_hits} of {len(grid)} cell(s) "
                 f"replayed from {args.cache_dir}"
             )
-    if args.metrics_out:
-        registry = tracing.registry if tracing is not None else None
-        _write_metrics(_sweep_metrics_registry(stats, registry), args.metrics_out)
     obslog.out(f"{'workload':13s} {'rate':>5s} {'heap':>5s} {'seed':>4s} "
                f"{'status':>7s} {'time(ms)':>10s}")
     for result in results:
@@ -1100,11 +1046,7 @@ def cmd_bench(args) -> int:
         _compensation_flag_problem("--rate", [args.rate], not args.no_compensate),
     ):
         return 2
-    registry = None
-    tracer = None
-    if args.trace or args.jsonl or args.metrics_out:
-        registry = MetricsRegistry()
-        tracer = Tracer(capacity=args.buffer, metrics=registry)
+    tracer = Tracer(capacity=args.buffer) if args.trace else None
     cell = {name: default for name, (_, default) in CELL_FIELDS.items()}
     cell.update(
         {field: getattr(args, _attribute(flag)) for flag, field in _BENCH_FIELDS.items()},
@@ -1165,13 +1107,6 @@ def cmd_bench(args) -> int:
             f"trace: {args.trace} ({tracer.recorded} events, "
             f"{tracer.dropped} dropped)"
         )
-    if args.jsonl:
-        from .obs.export import write_jsonl
-
-        count = write_jsonl(tracer, args.jsonl)
-        obslog.info(f"jsonl: {args.jsonl} ({count} events)")
-    if args.metrics_out:
-        _write_metrics(registry, args.metrics_out)
     return 0 if result.completed else 1
 
 

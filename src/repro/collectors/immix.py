@@ -35,10 +35,6 @@ from ..obs.trace import maybe_span
 from ..units import KiB
 from .stats import GcStats
 
-#: Free-run-length histogram buckets, in lines (blocks have <= 128).
-FREE_RUN_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-
 @dataclass(frozen=True)
 class ImmixConfig:
     """Collector policy knobs (paper defaults)."""
@@ -191,11 +187,6 @@ class ImmixCollector:
         tr = self.tracer
         if tr is not None:
             tr.instant("immix.block_acquired", args={"kind": kind})
-            tr.metrics.counter(
-                "repro_immix_blocks_acquired_total",
-                "block acquisitions by source",
-                kind=kind,
-            ).inc()
 
     # ==================================================================
     # Allocation
@@ -530,8 +521,6 @@ class ImmixCollector:
                     if block.allocated_since_gc:
                         block.rebuild_line_marks(epoch, keep_old=True)
             self._rebuild_allocation_state(exclude_evacuating=False)
-            if tr is not None:
-                self._observe_free_runs(tr)
             self._young = []
             self._remset.clear()
             return {
@@ -575,8 +564,6 @@ class ImmixCollector:
             if self.config.copy_nursery_survivors:
                 with maybe_span(tr, "gc.copy", phase="gc.copy"):
                     self._copy_survivors(survivors, epoch)
-            if tr is not None:
-                self._observe_free_runs(tr)
             self._young = []
             self._remset.clear()
             return {
@@ -671,25 +658,6 @@ class ImmixCollector:
             self._recycled.remove(block)
         except ValueError:
             pass
-
-    def _observe_free_runs(self, tr) -> None:
-        """Record the post-GC free-run-length distribution (tracing only).
-
-        The run-length histogram is the paper's fragmentation lens: as
-        lines fail, contiguous free runs shorten and bump allocation
-        degrades. Sampled once per collection, after the final
-        allocation-state rebuild — whose ``free_line_count()`` probe
-        already primed each recycled block's run summary, so reading
-        ``line_summary().runs`` here is a cache hit, not a rescan.
-        """
-        histogram = tr.metrics.histogram(
-            "repro_free_run_length_lines",
-            "length in lines of free runs available after GC",
-            buckets=FREE_RUN_BUCKETS,
-        )
-        for block in self._recycled:
-            for _start, length in block.line_summary().runs:
-                histogram.observe(length)
 
     def _rebuild_allocation_state(self, exclude_evacuating: bool) -> None:
         # Whole-heap kernel: one find-jumping scan over the flat line
@@ -849,11 +817,6 @@ class ImmixCollector:
                     "target": entry[0],
                 },
             )
-            tr.metrics.counter(
-                "repro_runtime_dynamic_failures_total",
-                "dynamic line failures routed into the collector",
-                target=entry[0],
-            ).inc()
         if entry[0] == "block":
             _, block, slot = entry
             page = block.pages[slot]

@@ -136,10 +136,6 @@ class MarkSweepCollector:
                 "marksweep.block_acquired",
                 args={"size_class": space.cell_size},
             )
-            tr.metrics.counter(
-                "repro_marksweep_blocks_acquired_total",
-                "size-class block acquisitions",
-            ).inc()
         cell = space.cell_size
         line_size = self.geometry.immix_line
         for offset in range(0, self.geometry.block - cell + 1, cell):

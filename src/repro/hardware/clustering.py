@@ -169,10 +169,6 @@ class ClusteringController:
                     "region_failed_count": rmap.failed_count,
                 },
             )
-            tr.metrics.counter(
-                "repro_clustering_remaps_total",
-                "failures routed through redirection maps",
-            ).inc()
         return reported
 
     def installed_map_count(self) -> int:

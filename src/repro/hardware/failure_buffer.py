@@ -117,15 +117,6 @@ class FailureBuffer:
                     "occupancy": len(self._entries),
                 },
             )
-            tr.metrics.counter(
-                "repro_fbuf_parked_writes_total",
-                "failed writes parked in the failure buffer",
-            ).inc()
-            tr.metrics.counter(
-                "repro_fbuf_interrupts_total",
-                "failure-buffer interrupts by kind",
-                kind="WRITE_FAILURE",
-            ).inc()
         self._interrupt(InterruptKind.WRITE_FAILURE)
         if len(self._entries) >= self.capacity - self.reserve:
             self._stalled = True
@@ -135,11 +126,6 @@ class FailureBuffer:
                     cat="hardware",
                     args={"occupancy": len(self._entries)},
                 )
-                tr.metrics.counter(
-                    "repro_fbuf_interrupts_total",
-                    "failure-buffer interrupts by kind",
-                    kind="BUFFER_NEARLY_FULL",
-                ).inc()
             self._interrupt(InterruptKind.BUFFER_NEARLY_FULL)
 
     def forward(self, address: int) -> Optional[object]:
@@ -190,10 +176,6 @@ class FailureBuffer:
         tr = self.tracer
         if tr is not None:
             tr.instant("fbuf.ack", cat="hardware", args={"address": address})
-            tr.metrics.counter(
-                "repro_fbuf_acks_total",
-                "failure-buffer entries acknowledged by the OS",
-            ).inc()
         return entry
 
     def drain(self) -> List[FailureEntry]:

@@ -372,10 +372,6 @@ class PcmModule:
                     "reported_line": reported,
                 },
             )
-            tr.metrics.counter(
-                "repro_pcm_line_failures_total",
-                "PCM lines worn out during the run",
-            ).inc()
         self._park_failed_write(logical_line, data)
         return True
 

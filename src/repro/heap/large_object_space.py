@@ -79,9 +79,6 @@ class LargeObjectSpace:
         tr = self.tracer
         if tr is not None:
             tr.instant("los.alloc", args={"oid": obj.oid, "pages": n})
-            tr.metrics.counter(
-                "repro_los_allocs_total", "large-object allocations"
-            ).inc()
         return True
 
     def free(self, obj: SimObject) -> None:
@@ -96,9 +93,6 @@ class LargeObjectSpace:
             tr.instant(
                 "los.free", args={"oid": obj.oid, "pages": placement.n_pages}
             )
-            tr.metrics.counter(
-                "repro_los_frees_total", "large-object frees"
-            ).inc()
 
     # ------------------------------------------------------------------
     def sweep(

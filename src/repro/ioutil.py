@@ -1,8 +1,8 @@
 """Atomic file publication for artifacts.
 
-Every artifact this package writes — ``BENCH_sweep.json``, served
-sweep artifacts, Prometheus metrics files — is a publication
-point some other process may read or a resumed run may depend on. A
+Every artifact this package writes — ``BENCH_sweep.json``, Chrome
+traces — is a publication point some other process may read or a
+resumed run may depend on. A
 writer killed mid-``write()`` must never leave a torn file behind:
 the crash-safety story (fault-tolerant sweeps, ``--resume``) only
 holds if interrupting a run cannot corrupt what it already produced.

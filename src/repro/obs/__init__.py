@@ -1,13 +1,11 @@
-"""Cross-layer observability: structured tracing, metrics, logging.
+"""Cross-layer observability: structured tracing and logging.
 
-See ``trace.py`` for the event/phase model, ``metrics.py`` for the
-registry, ``export.py`` for Chrome-trace/JSONL output, ``log.py``
-for the stdout/stderr conventions, ``ledger.py`` for the wall-clock
-sweep flight recorder and ``profile.py`` for opt-in worker
-profiling.
+See ``trace.py`` for the event/phase model, ``export.py`` for
+Chrome-trace output, ``log.py`` for the stdout/stderr conventions,
+``ledger.py`` for the wall-clock sweep flight recorder and
+``profile.py`` for opt-in worker profiling.
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (
     CATEGORIES,
     HARDWARE,
@@ -23,9 +21,7 @@ from .export import (
     chrome_trace,
     ledger_chrome_trace,
     validate_chrome_trace,
-    validate_jsonl_trace,
     write_chrome_trace,
-    write_jsonl,
     write_ledger_chrome_trace,
 )
 from .ledger import (
@@ -41,13 +37,9 @@ from .profile import merge_profiles, profile_call, render_hotspots
 
 __all__ = [
     "CATEGORIES",
-    "Counter",
-    "Gauge",
     "HARDWARE",
-    "Histogram",
     "LEDGER_CATEGORIES",
     "LEDGER_SCHEMA",
-    "MetricsRegistry",
     "OS",
     "REPORT_SCHEMA",
     "ROOT_PHASE",
@@ -65,9 +57,7 @@ __all__ = [
     "read_ledger",
     "render_hotspots",
     "validate_chrome_trace",
-    "validate_jsonl_trace",
     "worker_emit",
     "write_chrome_trace",
-    "write_jsonl",
     "write_ledger_chrome_trace",
 ]

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and JSONL.
+"""Trace exporter: Chrome ``trace_event`` JSON.
 
 The Chrome trace format is the JSON Array/Object format consumed by
 ``chrome://tracing`` and Perfetto (ui.perfetto.dev → "Open trace
@@ -15,11 +15,9 @@ dynamic-failure collection) reads top to bottom in the UI.
 and the CI smoke job. It verifies structural requirements Perfetto
 cares about (required keys, known phases, numeric non-negative
 timestamps) and — when the ring buffer did not overflow — that B/E
-span events balance per track. ``validate_jsonl_trace`` applies the
-same per-event checks to the raw JSONL spelling, tolerating exactly
-the damage an interrupted writer can cause (a truncated final line)
-while still flagging interior corruption, unknown event types, and
-out-of-order timestamps.
+span events balance per track. Both writers publish atomically
+(:func:`repro.ioutil.atomic_write_text`), so a killed run or a payload
+that fails to serialize leaves any earlier trace at the path intact.
 
 A second exporter lives here too: :func:`ledger_chrome_trace` renders
 a sweep flight-recorder ledger (:mod:`repro.obs.ledger`) as a
@@ -31,8 +29,9 @@ the same Perfetto UI as where the simulation spends simulated time.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
+from ..ioutil import atomic_write_text
 from .trace import CATEGORIES, HARDWARE, OS, RUNTIME, Tracer
 
 #: Track ids: runtime on top, hardware at the bottom.
@@ -115,21 +114,8 @@ def write_chrome_trace(
     tracer: Tracer, path: str, metadata: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
     payload = chrome_trace(tracer, metadata)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=None, separators=(",", ":"))
-        handle.write("\n")
+    atomic_write_text(path, json.dumps(payload, separators=(",", ":")) + "\n")
     return payload
-
-
-def write_jsonl(tracer: Tracer, path: str) -> int:
-    """One raw event per line, timestamps in simulated units."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in tracer.events():
-            handle.write(json.dumps(event.to_dict(), separators=(",", ":")))
-            handle.write("\n")
-            n += 1
-    return n
 
 
 def validate_chrome_trace(
@@ -201,58 +187,6 @@ def validate_chrome_trace(
                     f"tid {tid}: {len(stack)} unclosed B event(s), "
                     f"innermost {stack[-1]!r}"
                 )
-    return problems
-
-
-def validate_jsonl_trace(
-    lines: Iterable[str], categories: Optional[Sequence[str]] = None
-) -> List[str]:
-    """Problems with a raw JSONL event stream (``write_jsonl`` output).
-
-    Checks per line: parseable JSON object (a truncated line — the
-    one corruption an interrupted writer can produce — reads as
-    unparseable), known ``ph`` and ``cat``, a numeric non-negative
-    ``ts``, and globally non-decreasing timestamps (the tracer's
-    clock is monotone, so out-of-order events mean a corrupted or
-    hand-spliced file).
-    """
-    known_cats = tuple(categories) if categories is not None else CATEGORIES
-    problems: List[str] = []
-    last_ts: Optional[float] = None
-    count = 0
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        count += 1
-        try:
-            event = json.loads(line)
-        except ValueError:
-            problems.append(f"line {number}: truncated or unparseable record")
-            continue
-        if not isinstance(event, dict):
-            problems.append(f"line {number}: not an object")
-            continue
-        name = event.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append(f"line {number}: missing name")
-        ph = event.get("ph")
-        if ph not in VALID_PHASES:
-            problems.append(f"line {number}: unknown event type {ph!r}")
-            continue
-        cat = event.get("cat")
-        if cat is not None and cat not in known_cats:
-            problems.append(f"line {number}: unknown cat {cat!r}")
-        ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
-            problems.append(f"line {number}: ts must be a non-negative number")
-            continue
-        if last_ts is not None and ts < last_ts:
-            problems.append(
-                f"line {number}: ts {ts} goes backwards (previous {last_ts})"
-            )
-        last_ts = max(last_ts, float(ts)) if last_ts is not None else float(ts)
-    if count == 0:
-        problems.append("no events")
     return problems
 
 
@@ -423,7 +357,5 @@ def write_ledger_chrome_trace(
     metadata: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     payload = ledger_chrome_trace(ledger_events, metadata)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=None, separators=(",", ":"))
-        handle.write("\n")
+    atomic_write_text(path, json.dumps(payload, separators=(",", ":")) + "\n")
     return payload

@@ -67,17 +67,6 @@ class TraceEvent:
         self.ts = ts
         self.args = args
 
-    def to_dict(self) -> Dict[str, Any]:
-        d: Dict[str, Any] = {
-            "name": self.name,
-            "cat": self.cat,
-            "ph": self.ph,
-            "ts": self.ts,
-        }
-        if self.args is not None:
-            d["args"] = self.args
-        return d
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceEvent({self.name!r}, {self.cat!r}, {self.ph!r}, ts={self.ts})"
 
@@ -89,20 +78,14 @@ class Tracer:
         self,
         clock: Optional[Callable[[], float]] = None,
         capacity: int = DEFAULT_CAPACITY,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("tracer capacity must be positive")
-        from .metrics import MetricsRegistry  # local: avoid import cycle risk
-
         self.capacity = capacity
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
         self.recorded = 0
         self._clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
-        self.metrics: "MetricsRegistry" = (
-            metrics if metrics is not None else MetricsRegistry()
-        )
         # Phase accounting. All time belongs to ROOT_PHASE until a
         # phase is pushed; _last_clock is the reading up to which time
         # has already been charged.

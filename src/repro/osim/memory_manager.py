@@ -107,11 +107,6 @@ class OsMemoryManager:
                     cat="os",
                     args={"page": page_index, "line_offset": offset},
                 )
-                tr.metrics.counter(
-                    "repro_os_pages_degraded_total",
-                    "PCM pages that saw their first line failure",
-                ).inc()
-                self.pools.update_gauges(tr.metrics)
         address = self.geometry.line_address(global_line)
         return FailureEvent(page_index, offset, address, None)
 
@@ -123,7 +118,7 @@ class OsMemoryManager:
         pages = [self.pools.take_perfect(allow_dram=True) for _ in range(n_pages)]
         for page in pages:
             self._owners[page.index] = owner
-        self._trace_grant("os.mmap", "perfect", n_pages, owner)
+        self._trace_grant("os.mmap", n_pages, owner)
         return pages
 
     def mmap_imperfect(self, n_pages: int, owner: str = "runtime") -> List[PhysicalPage]:
@@ -141,18 +136,14 @@ class OsMemoryManager:
         pages = [self.pools.take_any_pcm() for _ in range(n_pages)]
         for page in pages:
             self._owners[page.index] = owner
-        self._trace_grant("os.mmap_imperfect", "imperfect", n_pages, owner)
+        self._trace_grant("os.mmap_imperfect", n_pages, owner)
         return pages
 
-    def _trace_grant(self, name: str, kind: str, n_pages: int, owner: str) -> None:
+    def _trace_grant(self, name: str, n_pages: int, owner: str) -> None:
         tr = self.tracer
         if tr is None:
             return
         tr.instant(name, cat="os", args={"pages": n_pages, "owner": owner})
-        tr.metrics.counter(
-            "repro_os_page_grants_total", "pages granted by mmap calls", kind=kind
-        ).inc(n_pages)
-        self.pools.update_gauges(tr.metrics)
 
     def map_failures(
         self, pages: Sequence[PhysicalPage]
@@ -161,10 +152,6 @@ class OsMemoryManager:
         tr = self.tracer
         if tr is not None:
             tr.instant("os.map_failures", cat="os", args={"pages": len(pages)})
-            tr.metrics.counter(
-                "repro_os_map_failures_calls_total",
-                "map-failures system calls serviced",
-            ).inc()
         failed_offsets = self.failure_table.failed_offsets
         return {page.index: failed_offsets(page.index) for page in pages}
 
@@ -230,9 +217,6 @@ class OsMemoryManager:
             self.upcalls += 1
             tr = self.tracer
             if tr is not None:
-                tr.metrics.counter(
-                    "repro_os_upcalls_total", "failure upcalls into the runtime"
-                ).inc()
                 with tr.span(
                     "os.upcall",
                     cat="os",
@@ -284,10 +268,6 @@ class OsMemoryManager:
             tr.instant(
                 "os.relocate_page", cat="os", args={"page": event.page_index}
             )
-            tr.metrics.counter(
-                "repro_os_page_relocations_total",
-                "whole-page relocations for failure-unaware owners",
-            ).inc()
 
     # ------------------------------------------------------------------
     def imperfect_fraction(self) -> float:

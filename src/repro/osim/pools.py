@@ -201,22 +201,3 @@ class PagePools:
 
     def imperfect_page_indices(self) -> List[int]:
         return sorted(self._imperfect)
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def update_gauges(self, metrics) -> None:
-        """Refresh the free-pool gauges in a metrics registry."""
-        help_text = "free pages per OS pool"
-        metrics.gauge("repro_os_pool_pages", help_text, pool="perfect").set(
-            len(self._perfect)
-        )
-        metrics.gauge("repro_os_pool_pages", help_text, pool="imperfect").set(
-            len(self._imperfect)
-        )
-        metrics.gauge("repro_os_pool_pages", help_text, pool="dram").set(
-            len(self._dram)
-        )
-        metrics.gauge("repro_os_pool_pages", help_text, pool="allocated").set(
-            len(self._allocated)
-        )

@@ -314,19 +314,8 @@ class VirtualMachine:
     # Collection
     # ------------------------------------------------------------------
     def collect(self, force_full: bool = False) -> dict:
-        tr = self.tracer
-        start = tr.clock() if tr is not None else 0.0
         result = self.collector.collect(self.roots(), force_full=force_full)
         self._replace_displaced()
-        if tr is not None:
-            tr.metrics.counter(
-                "repro_gc_collections_total",
-                "collections by kind",
-                kind=result["kind"],
-            ).inc()
-            tr.metrics.histogram(
-                "repro_gc_pause_ms", "GC pause durations in simulated ms"
-            ).observe(self.cost_model.to_ms(tr.clock() - start))
         self.auditor.after_gc()
         return result
 
@@ -342,10 +331,6 @@ class VirtualMachine:
                 if hasattr(self.collector, "displaced")
                 else None,
             )
-            tr.metrics.counter(
-                "repro_gc_dynamic_failure_collections_total",
-                "full collections forced by dynamic failures",
-            ).inc()
         self.collect(force_full=True)
 
     def _replace_displaced(self) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from ..obs.export import write_chrome_trace
-from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from .machine import RunConfig, RunResult
 from .plan import cell_slug
@@ -34,16 +33,14 @@ def trace_metadata(config: RunConfig, result: RunResult) -> dict:
 
 
 class TraceDirectory:
-    """``<path>/<cell_slug>.trace.json`` per executed cell, with every
-    cell's tracer feeding one shared metrics ``registry``."""
+    """``<path>/<cell_slug>.trace.json`` per executed cell."""
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self.registry = MetricsRegistry()
         os.makedirs(path, exist_ok=True)
 
     def tracer(self) -> Tracer:
-        return Tracer(metrics=self.registry)
+        return Tracer()
 
     def write(self, config: RunConfig, tracer: Tracer, result: RunResult) -> None:
         """Export one finished cell's trace."""

@@ -1,6 +1,8 @@
-"""Chrome trace export: schema round-trip, validator, JSONL."""
+"""Chrome trace export: schema round-trip, validator, atomic publication."""
 
 import json
+
+import pytest
 
 from repro.obs import Tracer, chrome_trace, validate_chrome_trace
 from repro.obs.export import (
@@ -10,9 +12,7 @@ from repro.obs.export import (
     TRACK_IDS,
     UNITS_PER_US,
     ledger_chrome_trace,
-    validate_jsonl_trace,
     write_chrome_trace,
-    write_jsonl,
     write_ledger_chrome_trace,
 )
 from repro.obs.trace import HARDWARE, OS, RUNTIME
@@ -116,78 +116,36 @@ class TestValidator:
         assert any("backwards" in p for p in validate_chrome_trace(payload))
 
 
-class TestJsonl:
-    def test_one_event_per_line_in_simulated_units(self, tmp_path):
-        tracer = sample_tracer()
-        path = tmp_path / "trace.jsonl"
-        count = write_jsonl(tracer, str(path))
-        lines = path.read_text().splitlines()
-        assert count == len(lines) == len(tracer.events())
-        first = json.loads(lines[0])
-        assert first == {
-            "name": "pcm.line_failure",
-            "cat": HARDWARE,
-            "ph": "i",
-            "ts": 0.0,
-            "args": {"line": 7},
-        }
+class TestAtomicPublication:
+    """A trace that fails to serialize must not replace the last one."""
 
+    def test_chrome_trace_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "trace.json"
+        write_chrome_trace(sample_tracer(), str(path))
+        before = path.read_bytes()
+        broken = sample_tracer()
+        broken.instant("bad", RUNTIME, args={"value": object()})
+        with pytest.raises(TypeError):
+            write_chrome_trace(broken, str(path))
+        assert path.read_bytes() == before
+        assert validate_chrome_trace(json.loads(before)) == []
+        assert list(tmp_path.glob("*.tmp")) == []
 
-class TestJsonlValidator:
-    def lines(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_jsonl(sample_tracer(), str(path))
-        return path.read_text().splitlines()
+    def test_ledger_trace_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "wall.json"
+        write_ledger_chrome_trace(sample_ledger_events(), str(path))
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_ledger_chrome_trace(
+                sample_ledger_events(), str(path), metadata={"bad": object()}
+            )
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_clean_output_validates(self, tmp_path):
-        assert validate_jsonl_trace(self.lines(tmp_path)) == []
-
-    def test_truncated_final_line(self, tmp_path):
-        lines = self.lines(tmp_path)
-        lines[-1] = lines[-1][: len(lines[-1]) // 2]
-        problems = validate_jsonl_trace(lines)
-        assert any("truncated or unparseable" in p for p in problems)
-
-    def test_interior_truncation_is_flagged_too(self, tmp_path):
-        lines = self.lines(tmp_path)
-        lines[1] = lines[1][:10]
-        problems = validate_jsonl_trace(lines)
-        assert any("line 2" in p for p in problems)
-
-    def test_out_of_order_timestamps(self, tmp_path):
-        lines = self.lines(tmp_path)
-        lines.append(json.dumps({"name": "late", "ph": "i", "ts": 0.5}))
-        problems = validate_jsonl_trace(lines)
-        assert any("goes backwards" in p for p in problems)
-
-    def test_unknown_event_type(self):
-        line = json.dumps({"name": "x", "ph": "Q", "ts": 1.0})
-        problems = validate_jsonl_trace([line])
-        assert any("unknown event type 'Q'" in p for p in problems)
-
-    def test_unknown_category(self):
-        line = json.dumps({"name": "x", "ph": "i", "cat": "nope", "ts": 1.0})
-        assert any(
-            "unknown cat" in p for p in validate_jsonl_trace([line])
-        )
-        # The same cat can be legal under a different vocabulary.
-        sweep = json.dumps({"name": "x", "ph": "i", "cat": "sweep", "ts": 1.0})
-        assert validate_jsonl_trace([sweep], LEDGER_CATEGORIES) == []
-
-    def test_bad_timestamp_and_missing_name(self):
-        problems = validate_jsonl_trace(
-            [json.dumps({"ph": "i", "ts": -1.0})]
-        )
-        assert any("missing name" in p for p in problems)
-        assert any("non-negative" in p for p in problems)
-
-    def test_non_object_line(self):
-        assert any(
-            "not an object" in p for p in validate_jsonl_trace(["[1, 2]"])
-        )
-
-    def test_empty_stream(self):
-        assert validate_jsonl_trace(["", "   "]) == ["no events"]
+    def test_bytes_are_compact_json_and_a_newline(self, tmp_path):
+        path = tmp_path / "trace.json"
+        payload = write_chrome_trace(sample_tracer(), str(path))
+        assert path.read_text() == json.dumps(payload, separators=(",", ":")) + "\n"
 
 
 def sample_ledger_events():

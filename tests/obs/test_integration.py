@@ -72,15 +72,6 @@ class TestWearingRunCoverage:
         assert "vm.dynamic_failure_collection" in names
         assert validate_chrome_trace(chrome_trace(tracer)) == []
 
-    def test_metrics_cover_all_three_layers(self):
-        tracer = Tracer()
-        run_wearing_benchmark(WEAR_CONFIG, tracer=tracer)
-        text = tracer.metrics.render_prometheus()
-        assert "repro_pcm_line_failures_total" in text
-        assert "repro_os_upcalls_total" in text
-        assert "repro_gc_pause_ms_bucket" in text
-        assert "repro_free_run_length_lines_bucket" in text
-
 
 class TestPhaseBreakdown:
     def test_breakdown_sums_to_time_units(self):

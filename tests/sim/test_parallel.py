@@ -13,6 +13,7 @@ from repro.sim.machine import RunConfig
 from repro.sim.parallel import SweepStats, default_jobs, run_grid, sweep_artifact
 from repro.sim.plan import cell_slug
 from repro.sim.tracing import TraceDirectory
+from tests.obs.traces import collection_spans
 
 
 def small_grid():
@@ -132,7 +133,13 @@ class TestTracedGrid:
             assert a.time_units == b.time_units
             assert a.stats == b.stats
         assert stats.cells == len(stats.timings) == 2
-        assert "repro_gc_pause_ms" in tracing.registry.render_prometheus()
+        # Each cell's trace holds one collection span per collection.
+        spans = collection_spans(tmp_path / "traces")
+        assert spans == {
+            cell_slug(r.config) + ".trace.json": r.stats["collections"]
+            for r in traced
+        }
+        assert sum(spans.values()) > 0
 
     @pytest.mark.parametrize(
         "route",

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.obs.traces import collection_spans
 
 
 class TestParser:
@@ -215,9 +216,7 @@ class TestCommands:
         out = tmp_path / "trace.json"
         code = main(
             ["bench", "luindex", "--scale", "0.05", "--clustering", "2",
-             "--wear", "25", "--trace", str(out),
-             "--jsonl", str(tmp_path / "trace.jsonl"),
-             "--metrics-out", str(tmp_path / "metrics.prom")]
+             "--wear", "25", "--trace", str(out)]
         )
         assert code == 0
         payload = json.loads(out.read_text())
@@ -232,9 +231,7 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "phase breakdown" in captured.out
         assert "mutator" in captured.out
-        metrics = (tmp_path / "metrics.prom").read_text()
-        assert "repro_gc_pause_ms_bucket" in metrics
-        assert (tmp_path / "trace.jsonl").read_text().count("\n") > 0
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
 
     def test_trace_unknown_workload(self, capsys, tmp_path):
         out = tmp_path / "trace.json"
@@ -403,6 +400,25 @@ class TestTraceBadInput:
         _refused(capsys, workdir, argv, f"bench: {message}")
 
 
+class TestRetiredOutputFlags:
+    """The Chrome trace is a run's one event output: the JSONL and
+    Prometheus flags are unknown."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "luindex", "--jsonl", "trace.jsonl"],
+        ["bench", "luindex", "--metrics-out", "metrics.prom"],
+        ["sweep", "--metrics-out", "metrics.prom"],
+        ["figures", "headline", "--metrics-out", "metrics.prom"],
+    ], ids=["bench-jsonl", "bench-metrics-out", "sweep-metrics-out",
+            "figures-metrics-out"])
+    def test_flags_are_gone(self, capsys, workdir, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(workdir.iterdir()) == []
+
+
 class TestCheckBadInput:
     """Bad ``check`` arguments exit 2 with one line, before any work."""
 
@@ -535,7 +551,7 @@ class TestTraceConflicts:
 
 
 class TestTracedSweep:
-    """A traced sweep is the untraced sweep plus traces and metrics."""
+    """A traced sweep is the untraced sweep plus one trace per cell."""
 
     def test_matches_untraced_sweep(self, capsys, tmp_path):
         import json
@@ -544,11 +560,9 @@ class TestTracedSweep:
                 "--scale", "0.2"]
         plain_out = tmp_path / "plain.json"
         traced_out = tmp_path / "traced.json"
-        metrics = tmp_path / "metrics.prom"
         assert main(grid + ["--out", str(plain_out)]) == 0
         assert main(
-            grid + ["--out", str(traced_out), "--trace", str(tmp_path / "t"),
-                    "--metrics-out", str(metrics)]
+            grid + ["--out", str(traced_out), "--trace", str(tmp_path / "t")]
         ) == 0
         capsys.readouterr()
         plain = json.loads(plain_out.read_text())
@@ -567,7 +581,12 @@ class TestTracedSweep:
         assert [sorted(t) for t in traced["cell_timings"]] == [
             sorted(t) for t in plain["cell_timings"]
         ]
-        assert "repro_gc_pause_ms_bucket" in metrics.read_text()
+        # Each cell's trace holds one collection span per collection.
+        spans = collection_spans(tmp_path / "t")
+        assert sorted(spans.values()) == sorted(
+            result["stats"]["collections"] for result in traced["results"]
+        )
+        assert sum(spans.values()) > 0
 
 
     def test_traced_figures_render_the_untraced_figures(self, capsys, tmp_path):
@@ -577,9 +596,8 @@ class TestTracedSweep:
         assert main(argv) == 0
         plain = capsys.readouterr().out
         traces = tmp_path / "t"
-        metrics = tmp_path / "m.prom"
         assert main(
-            argv + ["--trace", str(traces), "--metrics-out", str(metrics),
+            argv + ["--trace", str(traces),
                     "--jobs", "2", "--cache-dir", str(tmp_path / "cache")]
         ) == 0
         assert capsys.readouterr().out == plain
@@ -588,7 +606,7 @@ class TestTracedSweep:
         assert files
         for path in files:
             assert "completed" in json.loads(path.read_text())["otherData"]
-        assert "repro_gc_pause_ms_bucket" in metrics.read_text()
+        assert sum(collection_spans(traces).values()) > 0
 
 
 class TestSweepFlagGrid:

@@ -1,6 +1,6 @@
 """Tests for atomic artifact publication (repro.ioutil).
 
-The regression these guard: ``BENCH_sweep.json``/metrics writers used
+The regression these guard: ``BENCH_sweep.json``/trace writers used
 to ``open(path, "w")`` directly, so a writer killed mid-``write()``
 left a torn artifact behind — exactly the file a resumed sweep or a
 CI consumer reads next.
@@ -20,9 +20,9 @@ from repro.ioutil import atomic_write_json, atomic_write_text
 
 class TestAtomicWriters:
     def test_text_roundtrip(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        atomic_write_text(str(path), "repro_up 1\n")
-        assert path.read_text() == "repro_up 1\n"
+        path = tmp_path / "notes.txt"
+        atomic_write_text(str(path), "line 1\n")
+        assert path.read_text() == "line 1\n"
 
     def test_json_roundtrip(self, tmp_path):
         path = tmp_path / "artifact.json"
