@@ -22,8 +22,9 @@ from repro.hardware.geometry import Geometry
 from repro.hardware.pcm import EnduranceModel, PcmModule
 from repro.hardware.wear_leveling import StartGapWearLeveler
 from repro.heap import line_table
-from repro.heap.block import sorted_defrag_candidates
+from repro.heap.block import Block, sorted_defrag_candidates
 from repro.heap.heap_table import HeapTable
+from repro.heap.page_supply import HeapPage, PageSupply, heap_pages
 from repro.heap.object_model import ObjectFactory
 from repro.osim.memory_manager import OsMemoryManager
 from repro.workloads.dacapo import DACAPO
@@ -402,6 +403,84 @@ def kernel_cases(seed=0):
         identical,
     )
 
+    # Block construction over failing pages (10% of PCM lines, the
+    # paper's 256 B lines): each page's Immix fail marks copied in two
+    # slices, against the per-offset set and line loop over offset sets
+    # decoded ahead of time, as pages used to carry them.
+    rng = random.Random(seed)
+    n_blocks = 16
+    per_block = geometry.pages_per_block
+    bitmaps = {
+        index: sum(1 << i for i in range(geometry.lines_per_page) if rng.random() < 0.1)
+        for index in range(n_blocks * per_block)
+    }
+    seed_pages = heap_pages(bitmaps, geometry)
+    block_pages = [
+        seed_pages[i : i + per_block] for i in range(0, len(seed_pages), per_block)
+    ]
+    perfect_pages = [[HeapPage(p.index) for p in group] for group in block_pages]
+    offsets = [
+        [oracles.page_offsets_reference(p.failed_bits, geometry) for p in group]
+        for group in block_pages
+    ]
+
+    def seed_blocks():
+        table = HeapTable(geometry)
+        return [Block(i, group, geometry, table=table) for i, group in enumerate(block_pages)]
+
+    def seed_blocks_oracle():
+        table = HeapTable(geometry)
+        blocks = []
+        for i, group in enumerate(perfect_pages):
+            block = Block(i, group, geometry, table=table)
+            oracles.seed_block_reference(block, offsets[i])
+            blocks.append(block)
+        return blocks
+
+    cases["heap.Block seeding (vs per-offset oracle)"] = (
+        seed_blocks,
+        seed_blocks_oracle,
+        1 / 4,
+        [oracles.block_segment(b) for b in seed_blocks()]
+        == [oracles.block_segment(b) for b in seed_blocks_oracle()]
+        == [oracles.seed_failed_lines_reference(group, geometry) for group in block_pages]
+        and sum(b.n_failed for b in seed_blocks()) > 0,
+    )
+
+    # Perfect-page requests on a heap whose low 200 of 256 spans hold
+    # blocks: the LOS claims spans and takes their perfect pages, then
+    # gives them back, so every call starts from the same state. The
+    # flag-byte search against the scan of every span.
+    def fussy_supply(supply_class):
+        rng = random.Random(seed)
+        failures = {
+            index: [0] if rng.random() < 0.5 else []
+            for index in range(256 * per_block)
+        }
+        supply = supply_class(
+            oracles.pages_from_offsets(failures, geometry, 256 * per_block), geometry
+        )
+        for _ in range(200):
+            supply.take_block_pages()
+
+        def cycle():
+            taken = [supply.fussy_page(allow_borrow=False) for _ in range(40)]
+            for page in taken:
+                supply.release(page)
+            return [page.index for page in taken]
+
+        return cycle
+
+    fussy, fussy_oracle = fussy_supply(PageSupply), fussy_supply(
+        oracles.LinearScanPageSupply
+    )
+    cases["heap.PageSupply.fussy_page (vs linear scan)"] = (
+        fussy,
+        fussy_oracle,
+        1 / 4,
+        all(fussy() == fussy_oracle() for _ in range(3)),
+    )
+
     # Trace size draws: the raw-getrandbits routine against randint,
     # over every DaCapo mix from one seeded generator per call.
     def draw_sizes(count):
@@ -550,6 +629,9 @@ def test_kernel_speedups_and_identity():
         # C code on both sides) is about half of the fast side's time.
         "hardware.PcmModule.write (vs oracle)": 0.8,
         "hardware.PcmModule.write (start-gap + 2-page clustering)": 0.7,
+        # About half the measured 2.5-3.5x and 3.2-3.7x.
+        "heap.Block seeding (vs per-offset oracle)": 1.5,
+        "heap.PageSupply.fussy_page (vs linear scan)": 1.6,
     }
     # The cheapest kernels time in tens of microseconds total, where a
     # single scheduler spike can sink any floor; one retry at higher

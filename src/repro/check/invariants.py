@@ -10,8 +10,9 @@ maintains. The layers and their authoritative chains:
   page pools partition the page universe, the failure buffer is drained
   after every service;
 * heap — per-block line marks match a recomputation from the block's
-  objects and failed lines, objects never overlap each other or a
-  failed line;
+  objects and its segment's fail marks, those marks match the false-
+  failure expansion of its pages' failure bitmaps, objects never
+  overlap each other or a failed line;
 * runtime — every heap page has exactly one owner (block, LOS, free
   span, or parked penalty), the page directory mirrors ownership, and
   byte/debt accounting conserves.
@@ -32,17 +33,19 @@ import numpy as np
 
 from ..collectors.immix import ImmixCollector
 from ..hardware.clustering import region_direction
+from ..hardware.geometry import set_bits
 from ..heap import line_table, object_model
 from ..heap.heap_table import UNMAPPED
+from ..heap.page_supply import SPAN_FREE, SPAN_LOS
 from ..heap.line_table import FAILED, FREE, LIVE, LIVE_PINNED
 from ..osim.page import PageKind
 from .audit import Violation
 
 
-def _expected_line_states(block) -> bytearray:
+def _expected_line_states(block, failed: Set[int]) -> bytearray:
     """Recompute a block's line marks the way the sweep would."""
     states = bytearray(block.n_lines)
-    for line in block.failed_lines:
+    for line in failed:
         states[line] = FAILED
     line_size = block.geometry.immix_line
     for obj in block.objects:
@@ -69,7 +72,8 @@ def check_block_line_marks(vm, violations: List[Violation], trigger: str) -> Non
     if not isinstance(collector, ImmixCollector):
         return
     for block in collector.blocks:
-        expected = _expected_line_states(block)
+        failed = set(block.failed_line_indices())
+        expected = _expected_line_states(block, failed)
         actual = block.line_states
         for line in range(block.n_lines):
             exp, act = expected[line], actual[line]
@@ -85,7 +89,7 @@ def check_block_line_marks(vm, violations: List[Violation], trigger: str) -> Non
                 # still a violation.
                 continue
             invariant = (
-                "failed-line-masked" if line in block.failed_lines else "line-mark-drift"
+                "failed-line-masked" if line in failed else "line-mark-drift"
             )
             violations.append(
                 Violation(
@@ -94,7 +98,7 @@ def check_block_line_marks(vm, violations: List[Violation], trigger: str) -> Non
                     block=block.virtual_index,
                     line=line,
                     message="line mark disagrees with recomputation from "
-                    "the block's objects and failed-line set",
+                    "the block's objects and fail marks",
                     expected=line_table.state_name(exp),
                     actual=line_table.state_name(act),
                 )
@@ -115,6 +119,7 @@ def check_object_placement(vm, violations: List[Violation], trigger: str) -> Non
         return
     for block in collector.blocks:
         line_size = block.geometry.immix_line
+        failed = set(block.failed_line_indices())
         placed, _starts = block.extent_index()
         prev_end = 0
         prev_oid = None
@@ -146,7 +151,7 @@ def check_object_placement(vm, violations: List[Violation], trigger: str) -> Non
             prev_end = max(prev_end, obj.offset + obj.size)
             prev_oid = obj.oid
             for line in obj.line_span(line_size):
-                if line in block.failed_lines and not _overlap_tolerated(block, obj):
+                if line in failed and not _overlap_tolerated(block, obj):
                     violations.append(
                         Violation(
                             invariant="object-on-failed-line",
@@ -163,7 +168,8 @@ def check_object_placement(vm, violations: List[Violation], trigger: str) -> Non
 
 
 def check_block_failure_seeding(vm, violations: List[Violation], trigger: str) -> None:
-    """block.failed_lines == Immix lines poisoned by its pages' holes."""
+    """A block's fail marks == Immix lines poisoned by its pages' holes,
+    and its failed-line count == the number of marks."""
     collector = vm.collector
     if not isinstance(collector, ImmixCollector):
         return
@@ -171,19 +177,20 @@ def check_block_failure_seeding(vm, violations: List[Violation], trigger: str) -
     for block in collector.blocks:
         expected: Set[int] = set()
         for slot, page in enumerate(block.pages):
-            for offset in page.failed_offsets:
+            for offset in set_bits(page.failed_bits):
                 byte_offset = slot * geometry.page + offset * geometry.pcm_line
                 expected.add(byte_offset // geometry.immix_line)
-        if expected != block.failed_lines:
+        actual = block.failed_line_indices()
+        if sorted(expected) != actual or block.n_failed != len(actual):
             violations.append(
                 Violation(
                     invariant="failed-line-seeding",
                     layer="heap",
                     block=block.virtual_index,
-                    message="block failed-line set disagrees with the "
+                    message="block fail marks disagree with the "
                     "false-failure expansion of its pages' failure maps",
                     expected=f"lines {sorted(expected)}",
-                    actual=f"lines {sorted(block.failed_lines)}",
+                    actual=f"lines {actual} (n_failed {block.n_failed})",
                 )
             )
 
@@ -232,9 +239,9 @@ def check_failure_chain(vm, violations: List[Violation], trigger: str) -> None:
         for page, where in _vm_heap_pages(vm):
             if page.index < 0 or page.index >= os_mm.n_pcm_pages:
                 continue
-            os_offsets = os_mm.failure_table.failed_offsets(page.index)
-            extra_offsets = set(page.failed_offsets) - os_offsets
-            if extra_offsets:
+            os_bits = os_mm.failure_table.bitmap(page.index)
+            extra_bits = page.failed_bits & ~os_bits
+            if extra_bits:
                 violations.append(
                     Violation(
                         invariant="vm-failure-map-subset",
@@ -242,8 +249,8 @@ def check_failure_chain(vm, violations: List[Violation], trigger: str) -> None:
                         page=page.index,
                         message=f"runtime page ({where}) records failed "
                         "offsets the OS failure table never saw",
-                        expected=f"subset of OS offsets {sorted(os_offsets)}",
-                        actual=f"extra offsets {sorted(extra_offsets)}",
+                        expected=f"subset of OS offsets {set_bits(os_bits)}",
+                        actual=f"extra offsets {set_bits(extra_bits)}",
                     )
                 )
 
@@ -301,7 +308,7 @@ def check_os_pools(vm, violations: List[Violation], trigger: str) -> None:
                     page=index,
                     message="imperfect page sitting in the perfect pool",
                     expected="no failed offsets",
-                    actual=f"offsets {sorted(descriptor.failed_offsets)}",
+                    actual=f"offsets {set_bits(descriptor.failed_bits)}",
                 )
             )
         if owner == "imperfect" and descriptor.is_perfect:
@@ -329,20 +336,19 @@ def check_os_pools(vm, violations: List[Violation], trigger: str) -> None:
         if (
             descriptor.kind is PageKind.PCM
             and index < os_mm.n_pcm_pages
-            and set(descriptor.failed_offsets)
-            != os_mm.failure_table.failed_offsets(index)
+            and descriptor.failed_bits != os_mm.failure_table.bitmap(index)
         ):
             violations.append(
                 Violation(
                     invariant="page-descriptor-sync",
                     layer="os",
                     page=index,
-                    message="page descriptor's failure set diverged from "
-                    "the failure-table bitmap",
+                    message="page descriptor's failure bitmap diverged from "
+                    "the failure table's",
                     expected=f"table offsets "
-                    f"{sorted(os_mm.failure_table.failed_offsets(index))}",
+                    f"{set_bits(os_mm.failure_table.bitmap(index))}",
                     actual=f"descriptor offsets "
-                    f"{sorted(descriptor.failed_offsets)}",
+                    f"{set_bits(descriptor.failed_bits)}",
                 )
             )
     for index in membership:
@@ -764,6 +770,30 @@ def check_kernel_caches(vm, violations: List[Violation], trigger: str) -> None:
                     "count diverged from a rescan of its free list",
                     expected=f"{n_perfect} perfect pages",
                     actual=f"{span.n_free_perfect}",
+                )
+            )
+        claimable = span.owner == SPAN_FREE and span.fully_free
+        flags = (
+            claimable,
+            claimable and n_perfect > 0,
+            span.owner == SPAN_LOS and n_perfect > 0,
+        )
+        held = tuple(
+            bool(flag_bytes[span.index])
+            for flag_bytes in (
+                supply._claimable, supply._claimable_perfect, supply._los_perfect
+            )
+        )
+        if held != flags:
+            violations.append(
+                Violation(
+                    invariant="kernel-cache-coherence",
+                    layer="heap",
+                    message=f"span {span.index}'s flag bytes (claimable, "
+                    "claimable with a perfect page, LOS with a perfect page) "
+                    "diverged from its owner and free list",
+                    expected=f"{flags}",
+                    actual=f"{held}",
                 )
             )
     table = vm.os.failure_table

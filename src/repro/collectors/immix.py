@@ -233,8 +233,8 @@ class ImmixCollector:
             block = obj.block
         stats.objects_allocated += 1
         stats.bytes_allocated += size
-        if block is not None and block.failed_lines:
-            stats.block_sparsity_units += size * len(block.failed_lines) / block.n_lines
+        if block is not None and block.n_failed:
+            stats.block_sparsity_units += size * block.n_failed / block.n_lines
         if self._generational:
             self._young.append(obj)
         return True
@@ -819,8 +819,7 @@ class ImmixCollector:
             )
         if entry[0] == "block":
             _, block, slot = entry
-            page = block.pages[slot]
-            page.failed_offsets = frozenset(page.failed_offsets) | {pcm_offset}
+            block.pages[slot].record_failure(pcm_offset, self.geometry)
             _, newly_failed = block.record_dynamic_failure(slot, pcm_offset)
             if newly_failed:
                 self.stats.dynamic_failed_lines += 1
@@ -832,7 +831,7 @@ class ImmixCollector:
         for page in old_pages:
             self.page_directory.pop(page.index, None)
             if page.index == page_index:
-                page.failed_offsets = frozenset(page.failed_offsets) | {pcm_offset}
+                page.record_failure(pcm_offset, self.geometry)
         # Free first so its (now imperfect) pages rejoin the supply,
         # then place the object on fresh perfect pages.
         self.los.free(obj)

@@ -16,6 +16,7 @@ measurable, while the paper's evaluation uses MS only without failures.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -37,12 +38,20 @@ SIZE_CLASSES = (
 )
 
 
+#: The smallest class that fits each multiple of 8 bytes up to the
+#: largest class, indexed by ``(size + 7) >> 3``: every class is a
+#: multiple of 8, so rounding a size up to one picks the same class.
+_CLASS_BY_WORDS = tuple(
+    SIZE_CLASSES[bisect_left(SIZE_CLASSES, 8 * words)]
+    for words in range(SIZE_CLASSES[-1] // 8 + 1)
+)
+
+
 def size_class_for(size: int) -> Optional[int]:
     """The smallest class that fits ``size``; None when it is large."""
-    for cls in SIZE_CLASSES:
-        if size <= cls:
-            return cls
-    return None
+    if size > SIZE_CLASSES[-1]:
+        return None
+    return _CLASS_BY_WORDS[(size + 7) >> 3] if size > 0 else SIZE_CLASSES[0]
 
 
 class _ClassSpace:
@@ -149,9 +158,10 @@ class MarkSweepCollector:
     def _cell_overlaps_failure(
         self, block: Block, offset: int, cell: int, line_size: int
     ) -> bool:
-        first = offset // line_size
-        last = (offset + cell - 1) // line_size
-        return any(line in block.failed_lines for line in range(first, last + 1))
+        base = self.table.base(block.slot)
+        first = base + offset // line_size
+        stop = base + (offset + cell - 1) // line_size + 1
+        return self.table.fail_marks.find(1, first, stop) >= 0
 
     # ==================================================================
     # Collection
@@ -219,13 +229,7 @@ class MarkSweepCollector:
                 # Sweep dead young objects straight back to their free
                 # lists — cells are fixed, so no line-mark rebuild is
                 # needed.
-                dead = [obj for obj in self._young if obj.mark != epoch]
-                for obj in dead:
-                    if obj.is_large:
-                        self.stats.los_pages_reclaimed += obj.los_placement.n_pages
-                        self.los.free(obj)
-                        continue
-                    self._free_cell(obj)
+                self._free_dead_young(epoch)
                 self.stats.cells_swept += len(self._young)
             for obj in self._young:
                 if obj.mark == epoch:
@@ -264,17 +268,31 @@ class MarkSweepCollector:
                     stack.append(child)
         return reached
 
-    def _free_cell(self, obj: SimObject) -> None:
-        block = obj.block
-        if block is None:
-            return
-        cls = size_class_for(obj.size)
-        # The freed cell address is read before remove_object so the
-        # free-list entry survives the placement teardown below.
-        self._classes[cls].free_cells.append((block, obj.offset))
-        block.remove_object(obj)
-        obj.block = None
-        obj.offset = None
+    def _free_dead_young(self, epoch: int) -> None:
+        """Return each dead young object's cell to its class's free list.
+
+        Cells are freed in nursery order and their placements cleared;
+        then every block that lost an object drops its dead ones in one
+        filtered pass, instead of one ``list.remove`` per object.
+        """
+        classes = self._classes
+        touched: Dict[Block, None] = {}  # insertion-ordered
+        for obj in self._young:
+            if obj.mark == epoch:
+                continue
+            if obj.is_large:
+                self.stats.los_pages_reclaimed += obj.los_placement.n_pages
+                self.los.free(obj)
+                continue
+            block = obj.block
+            if block is None:
+                continue
+            classes[size_class_for(obj.size)].free_cells.append((block, obj.offset))
+            obj.block = None
+            obj.offset = None
+            touched[block] = None
+        for block in touched:
+            block.replace_objects([obj for obj in block.objects if obj.block is block])
 
     def _sweep(self, epoch: int, keep_old: bool) -> None:
         """Full sweep: every cell of every block is inspected.

@@ -14,7 +14,7 @@ exactly once, at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, List
 
 import numpy as np
 
@@ -74,6 +74,8 @@ class Geometry:
             raise GeometryError("block must be a multiple of the Immix line")
         if self.block % self.page:
             raise GeometryError("block must be a multiple of the page size")
+        if self.page % self.immix_line:
+            raise GeometryError("page must be a multiple of the Immix line")
 
     # ------------------------------------------------------------------
     # Derived counts
@@ -96,6 +98,10 @@ class Geometry:
     @property
     def immix_lines_per_block(self) -> int:
         return self.block // self.immix_line
+
+    @property
+    def immix_lines_per_page(self) -> int:
+        return self.page // self.immix_line
 
     @property
     def pcm_lines_per_immix_line(self) -> int:
@@ -209,3 +215,22 @@ def as_line_indices(lines: Iterable[int]) -> np.ndarray:
     if isinstance(lines, np.ndarray):
         return lines.astype(np.int64, copy=False)
     return np.fromiter(lines, dtype=np.int64)
+
+
+def popcount(bits: int) -> int:
+    """Set bits of a non-negative int (``int.bit_count`` needs 3.10)."""
+    return bin(bits).count("1")
+
+
+def set_bits(bits: int) -> List[int]:
+    """Positions of the set bits of a non-negative int, ascending.
+
+    ``bits & -bits`` isolates the lowest set bit, so decoding costs one
+    step per set bit instead of one per bit position.
+    """
+    positions = []
+    while bits:
+        lowest = bits & -bits
+        positions.append(lowest.bit_length() - 1)
+        bits ^= lowest
+    return positions

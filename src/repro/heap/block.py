@@ -1,10 +1,16 @@
 """Immix blocks (paper section 4.1).
 
 A block is 32 KB of virtually contiguous heap, backed by eight physical
-pages that need not be contiguous or perfect. The block carries the line
-mark table; failed PCM lines are seeded into it as FAILED Immix lines at
-construction — including the paper's *false failures*, where one failed
-64 B PCM line poisons a whole 128 B or 256 B Immix line.
+pages that need not be contiguous or perfect. The block's line marks
+and failure marks are a segment of its collector's
+:class:`~.heap_table.HeapTable`. Failed PCM lines are seeded into it as
+FAILED Immix lines at construction — including the paper's *false
+failures*, where one failed 64 B PCM line poisons a whole 128 B or
+256 B Immix line — by copying each page's precomputed Immix fail marks
+(:attr:`~.page_supply.HeapPage.fail_marks`) into the segment. The
+segment's fail marks and the block's ``n_failed`` count are the one
+record of its failed lines; :meth:`Block.failed_line_indices` reads
+them back.
 
 Hot-path accounting is cached behind two generation counters:
 
@@ -36,7 +42,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from ..hardware.geometry import Geometry
 from . import line_table
 from .heap_table import HeapTable, LineSegment
-from .line_table import FAILED, LIVE, LIVE_PINNED, FreeRunSummary
+from .line_table import FAILED, FREE, LIVE, LIVE_PINNED, FreeRunSummary
 from .object_model import SimObject
 from .page_supply import HeapPage
 
@@ -46,6 +52,8 @@ _MERGE_LIVE = bytes([LIVE, LIVE, LIVE_PINNED, FAILED]) + bytes(range(4, 256))
 _MERGE_PINNED = bytes([LIVE_PINNED, LIVE_PINNED, LIVE_PINNED, FAILED]) + bytes(
     range(4, 256)
 )
+#: Byte map from fail marks (0/1) to line states: FAILED where marked.
+_FAILED_WHERE_MARKED = bytes([FREE, FAILED]) + bytes(range(2, 256))
 
 
 class Block:
@@ -58,7 +66,7 @@ class Block:
         "table",
         "slot",
         "n_lines",
-        "failed_lines",
+        "n_failed",
         "objects",
         "evacuate",
         "allocated_since_gc",
@@ -103,7 +111,8 @@ class Block:
         self.slot = table.register(self)
         self._base = table.base(self.slot)
         self.n_lines = geometry.immix_lines_per_block
-        self.failed_lines: Set[int] = set()
+        #: Failed Immix lines: the count of the segment's fail marks.
+        self.n_failed = 0
         self.objects: List[SimObject] = []
         #: Flagged by defragmentation / dynamic-failure handling.
         self.evacuate = False
@@ -133,7 +142,7 @@ class Block:
         self._swept_line_gen = -1
         self._swept_count = 0
         self._swept_live_lines = 0
-        self._seed_failed_pages_bulk(pages)
+        self._seed_failed_pages(pages)
 
     # ------------------------------------------------------------------
     @property
@@ -146,7 +155,7 @@ class Block:
 
         Built on each access, so the block itself holds nothing that
         refers back to it: a block that a sweep retires is freed by
-        reference counting, with its failed-line set and run summary,
+        reference counting, with its run summary,
         and never waits for CPython's cyclic collector. Writes through
         the view invalidate the block's caches (:meth:`touch_lines`).
         """
@@ -172,36 +181,27 @@ class Block:
         self._extent_objs = []
         self._extent_starts = []
 
-    def _seed_failed_pages_bulk(self, pages: List[HeapPage]) -> None:
-        """Seed every page's failed PCM lines in one pass.
+    def _seed_failed_pages(self, pages: List[HeapPage]) -> None:
+        """Seed every page's failed lines with two slice copies.
 
-        Identical final state to calling :meth:`_seed_failed_pcm_line`
-        per offset — the seeded set and byte writes are idempotent and
-        order-independent — but with the geometry lookups hoisted, each
-        page's lines collected by one comprehension, one byte write per
-        poisoned Immix line rather than per failed PCM line, and a single
-        cache invalidation. Construction seeds thousands of lines per
-        cell at paper failure rates.
+        Each failing page carries its Immix fail marks, computed once
+        when the page was mapped; the block's segment is their
+        concatenation (a perfect page contributes zeros), copied into
+        the table's fail marks and, translated to FAILED, into its
+        freshly registered FREE line states.
         """
-        page_size = self.geometry.page
-        pcm_line = self.geometry.pcm_line
-        immix_line = self.geometry.immix_line
-        failed = self.failed_lines
-        for page_slot, page in enumerate(pages):
-            if page.failed_offsets:
-                page_base = page_slot * page_size
-                failed.update([
-                    (page_base + offset * pcm_line) // immix_line
-                    for offset in page.failed_offsets
-                ])
-        if failed:
-            lines = self.table.lines
-            marks = self.table.fail_marks
-            base = self._base
-            for line in failed:
-                lines[base + line] = FAILED
-                marks[base + line] = 1
-            self.touch_lines()
+        if not any(page.failed_bits for page in pages):
+            return
+        zero = bytes(self.geometry.immix_lines_per_page)
+        marks = b"".join(
+            [page.fail_marks if page.failed_bits else zero for page in pages]
+        )
+        base = self._base
+        end = base + self.n_lines
+        self.table.fail_marks[base:end] = marks
+        self.table.lines[base:end] = marks.translate(_FAILED_WHERE_MARKED)
+        self.n_failed = marks.count(1)
+        self.touch_lines()
 
     def _seed_failed_pcm_line(self, page_slot: int, pcm_offset: int) -> Tuple[int, bool]:
         """Mark the Immix line poisoned by a failed PCM line.
@@ -212,11 +212,13 @@ class Block:
         """
         byte_offset = page_slot * self.geometry.page + pcm_offset * self.geometry.pcm_line
         immix_line = byte_offset // self.geometry.immix_line
-        newly_failed = immix_line not in self.failed_lines
-        self.failed_lines.add(immix_line)
-        base = self._base
-        self.table.lines[base + immix_line] = FAILED
-        self.table.fail_marks[base + immix_line] = 1
+        index = self._base + immix_line
+        marks = self.table.fail_marks
+        newly_failed = not marks[index]
+        if newly_failed:
+            marks[index] = 1
+            self.n_failed += 1
+        self.table.lines[index] = FAILED
         self.touch_lines()
         return immix_line, newly_failed
 
@@ -254,14 +256,27 @@ class Block:
         return self.line_summary().free_lines
 
     def failed_line_count(self) -> int:
-        return len(self.failed_lines)
+        return self.n_failed
+
+    def failed_line_indices(self) -> List[int]:
+        """The failed Immix lines, ascending, read off the segment's
+        fail marks (the auditor and tests; the runtime reads marks)."""
+        marks = self.table.fail_marks
+        base = self._base
+        end = base + self.n_lines
+        found: List[int] = []
+        i = marks.find(1, base, end)
+        while i >= 0:
+            found.append(i - base)
+            i = marks.find(1, i + 1, end)
+        return found
 
     def usable_bytes(self) -> int:
         return self.free_line_count() * self.geometry.immix_line
 
     def is_wholly_free(self) -> bool:
         """No live data and no failed lines: pages may return to the pool."""
-        return not self.objects and not self.failed_lines
+        return not self.objects and not self.n_failed
 
     def is_empty_of_objects(self) -> bool:
         return not self.objects
@@ -287,8 +302,8 @@ class Block:
         LIVE_PINNED > LIVE > FREE, which is independent of object
         visiting order (:meth:`_mark_spans`). Conflict recording is
         unchanged: a conflict is exactly a survivor's span crossing a
-        line in ``failed_lines``, reported in object order with
-        ascending lines, and survivors are searched for conflicts only
+        line marked failed, reported in object order with ascending
+        lines, and survivors are searched for conflicts only
         when some span covers a FAILED line.
 
         Each sweep records what it produced, and the next one re-derives
@@ -354,12 +369,12 @@ class Block:
 
     def _rebuild(self, epoch: int, keep_old: bool) -> bool:
         """Keep the survivors and re-derive every line state from them
-        and ``failed_lines``; True if a span covers a FAILED line."""
-        states = self.table.lines
+        and the fail marks; True if a span covers a FAILED line."""
         base = self._base
-        states[base : base + self.n_lines] = bytes(self.n_lines)
-        for line in self.failed_lines:
-            states[base + line] = FAILED
+        end = base + self.n_lines
+        self.table.lines[base:end] = self.table.fail_marks[base:end].translate(
+            _FAILED_WHERE_MARKED
+        )
         survivors = [
             obj for obj in self.objects if obj.mark == epoch or (keep_old and obj.old)
         ]
@@ -431,17 +446,17 @@ class Block:
     ) -> List[Tuple[int, int]]:
         """``(oid, line)`` for every failed line a survivor spans, in
         survivor order with ascending lines."""
-        failed_sorted = sorted(self.failed_lines)
-        n_failed = len(failed_sorted)
+        find = self.table.fail_marks.find
+        base = self._base
         line_size = self.geometry.immix_line
         conflicts: List[Tuple[int, int]] = []
         for obj in survivors:
-            first = obj.offset // line_size
-            stop = (obj.offset + obj.size - 1) // line_size + 1
-            i = bisect_left(failed_sorted, first)
-            while i < n_failed and failed_sorted[i] < stop:
-                conflicts.append((obj.oid, failed_sorted[i]))
-                i += 1
+            first = base + obj.offset // line_size
+            stop = base + (obj.offset + obj.size - 1) // line_size + 1
+            i = find(1, first, stop)
+            while i >= 0:
+                conflicts.append((obj.oid, i - base))
+                i = find(1, i + 1, stop)
         return conflicts
 
     # ------------------------------------------------------------------
@@ -519,7 +534,7 @@ class Block:
     def __repr__(self) -> str:
         return (
             f"Block({self.virtual_index}, {len(self.objects)} objects, "
-            f"{self.free_line_count()} free / {len(self.failed_lines)} failed lines)"
+            f"{self.free_line_count()} free / {self.n_failed} failed lines)"
         )
 
 
@@ -531,7 +546,7 @@ def perfect_block(virtual_index: int, pages: List[HeapPage], geometry: Geometry)
 
 
 def block_is_perfect(block: Block) -> bool:
-    return not block.failed_lines
+    return not block.n_failed
 
 
 def sort_key_most_holes(block: Block) -> int:

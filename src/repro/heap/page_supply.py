@@ -23,11 +23,13 @@ perfect pages it is later offered.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
+
+import numpy as np
 
 from ..errors import OutOfMemoryError
 from ..faults.accounting import PerfectPageAccountant
-from ..hardware.geometry import Geometry
+from ..hardware.geometry import Geometry, popcount
 
 #: Span owners.
 SPAN_FREE = 0
@@ -36,25 +38,84 @@ SPAN_LOS = 2
 
 
 class HeapPage:
-    """VM-side view of one page backing the heap."""
+    """VM-side view of one page backing the heap.
 
-    __slots__ = ("index", "failed_offsets", "borrowed")
+    ``failed_bits`` is the page's failure bitmap as the OS reports it
+    (bit *i* set = page-relative PCM line *i* failed). ``fail_marks``
+    is its expansion into the page's Immix lines, one byte per line (1
+    = failed), which a block copies into its heap-table segment; it is
+    only read while ``failed_bits`` is non-zero. Build failing pages
+    with :func:`heap_pages` and fail one with :meth:`record_failure`,
+    which keep the two in step.
+    """
+
+    __slots__ = ("index", "failed_bits", "fail_marks", "borrowed")
 
     def __init__(
-        self, index: int, failed_offsets: FrozenSet[int] = frozenset(), borrowed: bool = False
+        self,
+        index: int,
+        failed_bits: int = 0,
+        fail_marks: bytes = b"",
+        borrowed: bool = False,
     ) -> None:
         self.index = index
-        self.failed_offsets = failed_offsets
+        self.failed_bits = failed_bits
+        self.fail_marks = fail_marks
         self.borrowed = borrowed
 
     @property
     def is_perfect(self) -> bool:
-        return not self.failed_offsets
+        return not self.failed_bits
+
+    def record_failure(self, pcm_offset: int, geometry: Geometry) -> None:
+        """Fail one more PCM line of this page (a dynamic failure)."""
+        marks = bytearray(
+            self.fail_marks if self.failed_bits else bytes(geometry.immix_lines_per_page)
+        )
+        marks[pcm_offset // geometry.pcm_lines_per_immix_line] = 1
+        self.failed_bits |= 1 << pcm_offset
+        self.fail_marks = bytes(marks)
 
     def __repr__(self) -> str:
         kind = "borrowed" if self.borrowed else ("perfect" if self.is_perfect else
-                                                 f"{len(self.failed_offsets)} holes")
+                                                 f"{popcount(self.failed_bits)} holes")
         return f"HeapPage({self.index}, {kind})"
+
+
+def page_fail_marks(bitmaps: Iterable[int], geometry: Geometry) -> Dict[int, bytes]:
+    """Immix-line fail marks of each distinct PCM failure bitmap.
+
+    One numpy pass: the bitmaps unpack into a pages x PCM-lines bit
+    matrix, each Immix line is failed if any PCM line in it is (the
+    paper's false failures at 128 B and 256 B lines), and every row
+    comes back as ``immix_lines_per_page`` bytes of 0/1. Equal bitmaps
+    share one bytes object.
+    """
+    distinct = list(dict.fromkeys(bitmaps))
+    if not distinct:
+        return {}
+    per_page = geometry.lines_per_page
+    width = -(-per_page // 8)
+    raw = b"".join([bits.to_bytes(width, "little") for bits in distinct])
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(distinct), width),
+        axis=1,
+        bitorder="little",
+    )[:, :per_page]
+    immix_per_page = geometry.immix_lines_per_page
+    marks = bits.reshape(len(distinct), immix_per_page, -1).any(axis=2)
+    rows = marks.astype(np.uint8).tobytes()
+    return {
+        bitmap: rows[i * immix_per_page : (i + 1) * immix_per_page]
+        for i, bitmap in enumerate(distinct)
+    }
+
+
+def heap_pages(failures: Dict[int, int], geometry: Geometry) -> List[HeapPage]:
+    """Heap pages for ``page index -> failure bitmap``, in its order,
+    with every page's Immix fail marks computed in one pass."""
+    marks = page_fail_marks(failures.values(), geometry)
+    return [HeapPage(index, bits, marks[bits]) for index, bits in failures.items()]
 
 
 class _Span:
@@ -71,17 +132,11 @@ class _Span:
         #: Incremental count of perfect pages in ``free``; lets the
         #: fussy allocator skip whole spans without scanning them.
         #: Every ``free`` mutation in PageSupply keeps it in step.
-        self.n_free_perfect = sum(1 for page in pages if not page.failed_offsets)
+        self.n_free_perfect = sum(1 for page in pages if not page.failed_bits)
 
     @property
     def fully_free(self) -> bool:
         return len(self.free) == len(self.pages)
-
-    def free_perfect(self) -> List[HeapPage]:
-        return [page for page in self.free if page.is_perfect]
-
-    def has_free_perfect(self) -> bool:
-        return self.n_free_perfect > 0
 
 
 class PageSupply:
@@ -106,6 +161,18 @@ class PageSupply:
         self._span_of_page = {
             page.index: span for span in self._spans for page in span.pages
         }
+        #: Three flag arrays of one byte per span, rewritten by
+        #: :meth:`_flag` after every span mutation, so finding the
+        #: lowest span that qualifies for a request is one
+        #: ``bytearray.find``: unowned and fully free (a block's span),
+        #: the same with a perfect page (a new LOS span), and LOS-owned
+        #: with a free perfect page.
+        n_spans = len(self._spans)
+        self._claimable = bytearray(n_spans)
+        self._claimable_perfect = bytearray(n_spans)
+        self._los_perfect = bytearray(n_spans)
+        for span in self._spans:
+            self._flag(span)
         #: Incremental mirror of ``free_real_pages``: every span.free
         #: mutation below adjusts it, so the allocator's frequent
         #: ``available_pages()`` probes cost O(1) instead of a
@@ -126,6 +193,14 @@ class PageSupply:
         self.relaxed_pages_taken = 0
         self.fussy_pages_taken = 0
         self.los_span_claims = 0
+
+    def _flag(self, span: _Span) -> None:
+        """Rewrite ``span``'s flag bytes from its current state."""
+        i = span.index
+        claimable = span.owner == SPAN_FREE and len(span.free) == len(span.pages)
+        self._claimable[i] = claimable
+        self._claimable_perfect[i] = claimable and span.n_free_perfect > 0
+        self._los_perfect[i] = span.owner == SPAN_LOS and span.n_free_perfect > 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -189,16 +264,17 @@ class PageSupply:
     # ------------------------------------------------------------------
     def take_block_pages(self) -> Optional[List[HeapPage]]:
         """Claim the lowest fully-free span for a 32 KB block."""
-        for span in self._spans:
-            if span.owner == SPAN_FREE and span.fully_free:
-                span.owner = SPAN_BLOCKS
-                taken = list(span.free)
-                span.free = []
-                span.n_free_perfect = 0
-                self._free_pages -= len(taken)
-                self.relaxed_pages_taken += len(taken)
-                return taken
-        return None
+        i = self._claimable.find(1)
+        if i < 0:
+            return None
+        span = self._spans[i]
+        span.owner = SPAN_BLOCKS
+        taken, span.free = span.free, []
+        span.n_free_perfect = 0
+        self._flag(span)
+        self._free_pages -= len(taken)
+        self.relaxed_pages_taken += len(taken)
+        return taken
 
     # ------------------------------------------------------------------
     # Fussy path (LOS, overflow fallback): perfect pages
@@ -207,27 +283,23 @@ class PageSupply:
         """A perfect page: LOS-span inventory, a new span, or a borrow."""
         self.fussy_pages_taken += 1
         # 1. Perfect pages already inside LOS-claimed spans.
-        for span in self._spans:
-            if span.owner == SPAN_LOS and span.n_free_perfect:
-                for page in span.free:
-                    if not page.failed_offsets:
-                        span.free.remove(page)
-                        span.n_free_perfect -= 1
-                        self._free_pages -= 1
-                        self.accountant.record_perfect_hit()
-                        return page
-        # 2. Claim the lowest free span that holds a perfect page. Its
-        #    imperfect pages become dead weight until the span empties.
-        for span in self._spans:
-            if span.owner == SPAN_FREE and span.fully_free and span.n_free_perfect:
-                span.owner = SPAN_LOS
+        i = self._los_perfect.find(1)
+        if i < 0:
+            # 2. Claim the lowest free span that holds a perfect page. Its
+            #    imperfect pages become dead weight until the span empties.
+            i = self._claimable_perfect.find(1)
+            if i >= 0:
+                self._spans[i].owner = SPAN_LOS
                 self.los_span_claims += 1
-                page = span.free_perfect()[0]
-                span.free.remove(page)
-                span.n_free_perfect -= 1
-                self._free_pages -= 1
-                self.accountant.record_perfect_hit()
-                return page
+        if i >= 0:
+            span = self._spans[i]
+            page = next(page for page in span.free if not page.failed_bits)
+            span.free.remove(page)
+            span.n_free_perfect -= 1
+            self._flag(span)
+            self._free_pages -= 1
+            self.accountant.record_perfect_hit()
+            return page
         # 3. Borrow DRAM, parking one real free page as the penalty.
         if not allow_borrow:
             self.fussy_pages_taken -= 1
@@ -248,7 +320,7 @@ class PageSupply:
         for span in self._spans:
             if span.owner == SPAN_LOS:
                 for page in span.free:
-                    if page.failed_offsets:
+                    if page.failed_bits:
                         span.free.remove(page)
                         self._free_pages -= 1
                         return page
@@ -256,11 +328,12 @@ class PageSupply:
             if span.free:
                 page = span.free[0]
                 span.free.remove(page)
-                if not page.failed_offsets:
+                if not page.failed_bits:
                     span.n_free_perfect -= 1
                 self._free_pages -= 1
                 if span.owner == SPAN_FREE:
                     span.owner = SPAN_LOS  # broken for parking
+                self._flag(span)
                 return page
         return None
 
@@ -297,7 +370,8 @@ class PageSupply:
             held = self._borrowed_held.pop()
             old_index = held.index
             held.index = page.index
-            held.failed_offsets = page.failed_offsets
+            held.failed_bits = page.failed_bits
+            held.fail_marks = page.fail_marks
             held.borrowed = False
             if self.on_page_reindexed is not None:
                 self.on_page_reindexed(old_index, held.index)
@@ -307,11 +381,12 @@ class PageSupply:
             return
         span = self._span_of_page[page.index]
         span.free.append(page)
-        if not page.failed_offsets:
+        if not page.failed_bits:
             span.n_free_perfect += 1
         self._free_pages += 1
         if span.fully_free:
             span.owner = SPAN_FREE
+        self._flag(span)
 
     def release_all(self, pages: List[HeapPage]) -> None:
         for page in pages:

@@ -5,30 +5,29 @@ lines) in a DRAM-resident table — about 1.6 % of PCM capacity
 uncompressed. On clean shutdown the table is persisted; after an
 abnormal shutdown it can be rebuilt by scanning the memory module.
 
-Queries are cached and bit-twiddled rather than looped: the decoded
-offset set per page is memoized until that page's bitmap changes, the
-module-wide failed-line count is maintained incrementally on every
-``record_failure``, and run counting for the compression estimate uses
-a transition-popcount identity instead of walking all 64 bit positions.
+The bitmap is the one per-page failure record from this table to the
+runtime's line marks: ``map-failures`` reports bitmaps, page
+descriptors hold them, and the VM expands them into Immix line marks.
+Queries are bit-twiddled rather than looped: the module-wide
+failed-line count is maintained incrementally on every
+``record_failure``, run counting for the compression estimate uses a
+transition-popcount identity instead of walking all 64 bit positions,
+and the decoded offset set of a page (a derived read for swap, the
+heap auditor and tests) is memoized until that page's bitmap changes.
 
 Batches of failed lines — an aged module's static failures at boot,
 or the module scan of a post-crash rebuild — load through
 :meth:`FailureTable.load_lines`, which groups them by page in numpy
-and writes each page's bitmap, offset cache entry and count once.
+and writes each page's bitmap and the count once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 import numpy as np
 
-from ..hardware.geometry import Geometry, as_line_indices
-
-
-def _popcount(bits: int) -> int:
-    # int.bit_count() needs 3.10; CI still runs 3.9.
-    return bin(bits).count("1")
+from ..hardware.geometry import Geometry, as_line_indices, popcount, set_bits
 
 
 class FailureTable:
@@ -64,20 +63,21 @@ class FailureTable:
         per_page = self.geometry.lines_per_page
         return self.record_failure(global_line // per_page, global_line % per_page)
 
-    def load_lines(self, failed_lines: Iterable[int]) -> Dict[int, FrozenSet[int]]:
+    def load_lines(self, failed_lines: Iterable[int]) -> Dict[int, int]:
         """Load a batch of module-wide failed lines into an empty table.
 
         The boot-time and post-crash loader: the same final state as
         :meth:`record_global_line` per line, but the batch is validated
         before anything changes and each page is written once. The
         lines (an int index array is taken as is) are sorted and split
-        into per-page groups in numpy; each group's bitmap is packed
-        with ``np.packbits`` (any ``lines_per_page``, not only 64) and
-        its decoded offsets go straight into the query cache, one
-        frozenset per distinct bitmap.
+        into per-page groups in numpy, and each group's bitmap is packed
+        with ``np.packbits`` (any ``lines_per_page``, not only 64). The
+        bitmaps are the only per-page record: no offset set is built,
+        and :meth:`failed_offsets` decodes a page only when asked, so
+        a machine's end-of-cell collector pass finds no per-page set
+        from boot, only the page descriptors that hold the bitmaps.
 
-        Returns the failed offsets of every imperfect page, in page
-        order.
+        Returns the bitmap of every imperfect page, in page order.
         """
         if self._bitmaps:
             raise ValueError("load_lines needs an empty failure table")
@@ -98,49 +98,41 @@ class FailureTable:
         raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
         width = len(raw) // len(bits)
         page_list = pages[np.concatenate(([0], starts))].tolist()
-        offset_list = offsets.tolist()
-        bounds = [0, *starts.tolist(), pages.size]
-        bitmaps = [
+        bitmaps = dict(zip(page_list, [
             int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)
-        ]
-        # Pages with equal bitmaps share one offset set: clustered maps
-        # repeat a few patterns (whole pages, edge runs) many times.
-        shared: Dict[int, FrozenSet[int]] = {}
-        page_offsets = []
-        for bitmap, a, b in zip(bitmaps, bounds, bounds[1:]):
-            offsets_set = shared.get(bitmap)
-            if offsets_set is None:
-                offsets_set = shared[bitmap] = frozenset(offset_list[a:b])
-            page_offsets.append(offsets_set)
-        self._bitmaps = dict(zip(page_list, bitmaps))
-        self._offsets_cache.update(zip(page_list, page_offsets))
-        self._failed_count = sum(map(len, page_offsets))
+        ]))
+        self._bitmaps = bitmaps
+        self._offsets_cache.clear()  # it may hold decodes of the empty table
+        # Duplicate lines set one bit, so the count is of distinct lines.
+        self._failed_count = int(np.count_nonzero(bits))
         self._imperfect_cache = page_list
         self._imperfect_cache_valid = True
-        return dict(zip(page_list, page_offsets))
+        return dict(bitmaps)
 
     def bitmap(self, page_index: int) -> int:
         self._check(page_index, 0)
         return self._bitmaps.get(page_index, 0)
 
+    def bitmaps(self, page_indices: Sequence[int]) -> List[int]:
+        """The bitmaps of many pages, validated by their lowest and
+        highest index (one ``map-failures`` call)."""
+        if page_indices:
+            self._check(min(page_indices), 0)
+            self._check(max(page_indices), 0)
+        get = self._bitmaps.get
+        return [get(page, 0) for page in page_indices]
+
     def failed_offsets(self, page_index: int) -> FrozenSet[int]:
         """Decoded failed-line offsets of a page (memoized per bitmap).
 
-        Set bits are extracted directly (``bitmap & -bitmap``
-        isolates the lowest one), so decoding costs one step per failure
-        instead of one per bit position; the frozenset is cached until
-        the page's bitmap changes. Only validated pages are ever cached,
-        so a hit skips the bounds check. Callers only read the result.
+        A derived read for swap, the heap auditor and tests; the
+        runtime reads bitmaps. The frozenset is cached until the page's
+        bitmap changes. Only validated pages are ever cached, so a hit
+        skips the bounds check. Callers only read the result.
         """
         cached = self._offsets_cache.get(page_index)
         if cached is None:
-            offsets = []
-            bits = self.bitmap(page_index)
-            while bits:
-                lsb = bits & -bits
-                offsets.append(lsb.bit_length() - 1)
-                bits ^= lsb
-            cached = frozenset(offsets)
+            cached = frozenset(set_bits(self.bitmap(page_index)))
             self._offsets_cache[page_index] = cached
         return cached
 
@@ -180,7 +172,7 @@ class FailureTable:
         for page, bits in snapshot.items():
             table._check(page, 0)
             table._bitmaps[page] = bits
-            table._failed_count += _popcount(bits)
+            table._failed_count += popcount(bits)
         table._imperfect_cache_valid = False
         return table
 
@@ -218,7 +210,7 @@ class FailureTable:
         total = 0
         for page in self.imperfect_pages():
             bitmap = self._bitmaps[page]
-            runs = 1 + _popcount((bitmap ^ (bitmap >> 1)) & transition_mask)
+            runs = 1 + popcount((bitmap ^ (bitmap >> 1)) & transition_mask)
             total += 2 + min(runs, per_page // 8)
         return total
 

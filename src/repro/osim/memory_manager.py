@@ -16,7 +16,7 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ProtocolError
 from ..hardware.failure_buffer import InterruptKind
@@ -81,14 +81,14 @@ class OsMemoryManager:
         Runs at construction, before anything is mapped or any tracer is
         attached, so the batch needs none of the per-line path's
         bookkeeping: the failure table loads every page's bitmap at
-        once, each page descriptor takes the table's cached offset set,
-        and the degraded pages leave the perfect pool in one rebuild, in
-        page order.
+        once, each page descriptor takes its page's bitmap, and the
+        degraded pages leave the perfect pool in one rebuild, in page
+        order.
         """
         batch = self.failure_table.load_lines(self.pcm.failed_logical_indices())
         pages = self.pools.pages
-        for page_index, offsets in batch.items():
-            pages[page_index].failed_offsets = offsets
+        for page_index, bits in batch.items():
+            pages[page_index].failed_bits = bits
         self.pools.note_pages_degraded(list(batch))
         self.pcm.take_pending_failures()
 
@@ -145,15 +145,14 @@ class OsMemoryManager:
             return
         tr.instant(name, cat="os", args={"pages": n_pages, "owner": owner})
 
-    def map_failures(
-        self, pages: Sequence[PhysicalPage]
-    ) -> Dict[int, FrozenSet[int]]:
-        """Failure map for a mapped region: page index -> failed offsets."""
+    def map_failures(self, pages: Sequence[PhysicalPage]) -> Dict[int, int]:
+        """Failure map for a mapped region: page index -> failure bitmap
+        (bit *i* set = page-relative PCM line *i* failed)."""
         tr = self.tracer
         if tr is not None:
             tr.instant("os.map_failures", cat="os", args={"pages": len(pages)})
-        failed_offsets = self.failure_table.failed_offsets
-        return {page.index: failed_offsets(page.index) for page in pages}
+        indices = [page.index for page in pages]
+        return dict(zip(indices, self.failure_table.bitmaps(indices)))
 
     def munmap(self, pages: Sequence[PhysicalPage]) -> None:
         for page in pages:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import FrozenSet
+
+from ..hardware.geometry import popcount
 
 
 class PageKind(Enum):
@@ -14,32 +14,36 @@ class PageKind(Enum):
     PCM = auto()
 
 
-@dataclass
 class PhysicalPage:
     """One physical page and its failure state.
 
-    ``failed_offsets`` holds page-relative PCM line offsets (0..63 for
-    the paper's 4 KB/64 B geometry). It is replaced, never mutated, on
-    each failure, so the OS can hand a page the failure table's cached
-    set at boot. DRAM pages never fail.
+    ``failed_bits`` is the page's failure bitmap, the failure table's
+    own record (paper section 3.2.1): bit *i* set means page-relative
+    PCM line *i* failed (0..63 for the paper's 4 KB/64 B geometry).
+    DRAM pages never fail.
     """
 
-    index: int
-    kind: PageKind = PageKind.PCM
-    failed_offsets: FrozenSet[int] = frozenset()
+    __slots__ = ("index", "kind", "failed_bits")
+
+    def __init__(
+        self, index: int, kind: PageKind = PageKind.PCM, failed_bits: int = 0
+    ) -> None:
+        self.index = index
+        self.kind = kind
+        self.failed_bits = failed_bits
 
     @property
     def is_perfect(self) -> bool:
-        return not self.failed_offsets
+        return not self.failed_bits
 
     @property
     def failed_count(self) -> int:
-        return len(self.failed_offsets)
+        return popcount(self.failed_bits)
 
     def record_failure(self, offset: int) -> None:
         if self.kind is PageKind.DRAM:
             raise ValueError("DRAM pages do not fail in this model")
-        self.failed_offsets = self.failed_offsets | {offset}
+        self.failed_bits |= 1 << offset
 
     def compatible_destination_for(self, source: "PhysicalPage") -> bool:
         """Can data written around ``source``'s holes land on this page?
@@ -47,7 +51,7 @@ class PhysicalPage:
         True when this page's holes are a subset of the source's holes
         (paper section 3.2.3, option 2's cheap special case).
         """
-        return self.failed_offsets <= source.failed_offsets
+        return not self.failed_bits & ~source.failed_bits
 
     def __repr__(self) -> str:
         state = "perfect" if self.is_perfect else f"{self.failed_count} failed lines"

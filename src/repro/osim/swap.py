@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..errors import OutOfMemoryError
+from ..hardware.geometry import popcount
 from .page import PhysicalPage
 from .pools import PagePools
 
@@ -30,7 +31,8 @@ class SwapSlot:
     """A swapped-out page image and the hole pattern it was written around."""
 
     payload: object
-    source_failed_offsets: frozenset
+    #: The source page's failure bitmap.
+    source_failed_bits: int
     clustered: bool
 
 
@@ -62,7 +64,7 @@ class Swapper:
         self._next_slot += 1
         self._slots[slot_id] = SwapSlot(
             payload=payload,
-            source_failed_offsets=frozenset(page.failed_offsets),
+            source_failed_bits=page.failed_bits,
             clustered=self.clustering_enabled,
         )
         self.pools.release(page.index)
@@ -88,12 +90,12 @@ class Swapper:
 
     def _pick_destination(self, slot: SwapSlot) -> Optional[PhysicalPage]:
         if slot.clustered and self.clustering_enabled:
-            page = self.pools.take_clustered_compatible(len(slot.source_failed_offsets))
+            page = self.pools.take_clustered_compatible(popcount(slot.source_failed_bits))
             if page is not None:
                 self._count("clustered")
                 self.stats.clustered_destinations += 1
                 return page
-        source_proxy = PhysicalPage(-1, failed_offsets=set(slot.source_failed_offsets))
+        source_proxy = PhysicalPage(-1, failed_bits=slot.source_failed_bits)
         page = self.pools.take_compatible(source_proxy)
         if page is not None:
             self._count("subset")

@@ -28,7 +28,7 @@ from ..faults.generator import FailureModel
 from ..faults.injector import FaultInjector
 from ..hardware.geometry import Geometry
 from ..heap.object_model import ALIGN_MASK, ALIGN_PAD, ObjectFactory, SimObject
-from ..heap.page_supply import HeapPage, PageSupply
+from ..heap.page_supply import HeapPage, PageSupply, heap_pages
 from ..obs.trace import Tracer
 from ..policies import policy_triple
 from .time_model import DEFAULT_COST_MODEL, CostModel
@@ -190,18 +190,19 @@ class VirtualMachine:
         )
 
     def _map_heap(self) -> List[HeapPage]:
+        """Map the heap and fold the OS failure bitmaps into heap pages,
+        expanding every page's bitmap into Immix fail marks in one pass."""
         n_pages = self._raw_heap_bytes() // self.geometry.page
         os_pages = self.os.mmap_imperfect(n_pages, owner="runtime")
         failures = self.os.map_failures(os_pages)
         if self._retire_pages:
             # Whole-page view (DRAM-era baseline, MigrantStore-style
             # migration): a page with any failed line is dead.
-            whole_page = frozenset(range(self.geometry.lines_per_page))
+            whole_page = (1 << self.geometry.lines_per_page) - 1
             failures = {
-                index: (whole_page if offsets else frozenset())
-                for index, offsets in failures.items()
+                index: whole_page if bits else 0 for index, bits in failures.items()
             }
-        return [HeapPage(p.index, failures[p.index]) for p in os_pages]
+        return heap_pages(failures, self.geometry)
 
     def _build_collector(self):
         name = self.config.collector

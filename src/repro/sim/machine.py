@@ -113,7 +113,10 @@ def machine_scope(run: _Run) -> _Run:
     generation-0 pass frees only the final machine and the caller's
     collector state is restored. Everything born in the run is still in
     generation 0, so that pass walks the run's own objects and none of
-    the rest of the process.
+    the rest of the process: the blocks and heap objects, a slotted
+    ``PhysicalPage`` per PCM page (its failure bitmap is an int) and a
+    ``HeapPage`` per heap page (the bitmap and its Immix fail marks as
+    bytes), so failing pages add no set for the pass to walk.
 
     The contract: nothing created before the call may still hold the
     machine when it returns, or the pass keeps it and promotes it to an

@@ -190,7 +190,7 @@ class TestVmAllocHook:
 # ======================================================================
 def block_with_failures(vm):
     for block in vm.collector.blocks:
-        if block.failed_lines:
+        if block.n_failed:
             return block
     pytest.skip("run produced no block with failed lines")
 
@@ -205,7 +205,7 @@ class TestDetection:
     def test_masked_failed_line(self):
         vm = make_vm()
         block = block_with_failures(vm)
-        line = next(iter(block.failed_lines))
+        line = block.failed_line_indices()[0]
         block.line_states[line] = FREE
         assert "failed-line-masked" in found_invariants(vm)
 
@@ -220,10 +220,9 @@ class TestDetection:
     def test_phantom_failed_line_seeding(self):
         vm = make_vm()
         block = next(b for b in vm.collector.blocks)
-        free_line = next(
-            line for line in range(block.n_lines) if line not in block.failed_lines
-        )
-        block.failed_lines.add(free_line)
+        failed = block.failed_line_indices()
+        free_line = next(line for line in range(block.n_lines) if line not in failed)
+        block.table.fail_marks[block.table.base(block.slot) + free_line] = 1
         assert "failed-line-seeding" in found_invariants(vm)
 
     def test_failure_table_divergence(self):
@@ -302,7 +301,7 @@ class TestAuditorModes:
     def test_record_only_collects_instead_of_raising(self):
         vm = make_vm()
         block = block_with_failures(vm)
-        block.line_states[next(iter(block.failed_lines))] = FREE
+        block.line_states[block.failed_line_indices()[0]] = FREE
         auditor = HeapAuditor(vm, level="gc", record_only=True)
         report = auditor.audit("manual")
         assert not report.ok
@@ -311,7 +310,7 @@ class TestAuditorModes:
     def test_strict_mode_raises_heap_audit_error(self):
         vm = make_vm()
         block = block_with_failures(vm)
-        block.line_states[next(iter(block.failed_lines))] = FREE
+        block.line_states[block.failed_line_indices()[0]] = FREE
         auditor = HeapAuditor(vm, level="gc")
         with pytest.raises(HeapAuditError):
             auditor.audit("manual")

@@ -4,7 +4,8 @@ import pytest
 
 from repro.hardware.geometry import Geometry
 from repro.heap.line_table import FAILED
-from repro.heap.page_supply import HeapPage, PageSupply
+from repro.heap.page_supply import PageSupply
+from tests.heap.oracles import pages_from_offsets
 
 G = Geometry()
 
@@ -12,11 +13,9 @@ G = Geometry()
 def build_supply(n_blocks=8, failure_map=None, geometry=G):
     """A supply of n_blocks worth of pages; failure_map maps page index
     to a set of failed PCM line offsets."""
-    failure_map = failure_map or {}
-    pages = [
-        HeapPage(index, frozenset(failure_map.get(index, ())))
-        for index in range(n_blocks * geometry.pages_per_block)
-    ]
+    pages = pages_from_offsets(
+        failure_map or {}, geometry, n_blocks * geometry.pages_per_block
+    )
     return PageSupply(pages, geometry)
 
 
@@ -24,9 +23,10 @@ def assert_no_object_on_failed_line(collector):
     """The paper's core invariant: live objects never overlap failures."""
     line_size = collector.geometry.immix_line
     for block in collector.blocks:
+        failed = block.failed_line_indices()
         for obj in block.objects:
             for line in obj.line_span(line_size):
-                assert line not in block.failed_lines, (
+                assert line not in failed, (
                     f"object {obj.oid} overlaps failed line {line} "
                     f"of block {block.virtual_index}"
                 )

@@ -34,6 +34,13 @@ class TestSizeClasses:
     def test_large_is_none(self):
         assert size_class_for(8193) is None
 
+    def test_lookup_matches_a_scan_of_the_classes(self):
+        def scan(size):
+            return next((cls for cls in SIZE_CLASSES if size <= cls), None)
+
+        for size in range(-8, SIZE_CLASSES[-1] + 16):
+            assert size_class_for(size) == scan(size), size
+
 
 class TestAllocation:
     def test_objects_of_same_class_share_blocks(self):

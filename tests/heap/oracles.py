@@ -14,6 +14,7 @@ randomly worn OS failure table.
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import OutOfMemoryError
 from repro.hardware.geometry import Geometry
 from repro.heap.block import Block
 from repro.heap.heap_table import HeapTable
@@ -26,7 +27,14 @@ from repro.heap.line_table import (
     free_runs_reference,
 )
 from repro.heap.object_model import ObjectFactory, SimObject
-from repro.heap.page_supply import HeapPage
+from repro.heap.page_supply import (
+    SPAN_BLOCKS,
+    SPAN_FREE,
+    SPAN_LOS,
+    HeapPage,
+    PageSupply,
+    heap_pages,
+)
 from repro.osim.failure_table import FailureTable
 
 #: Sweep epoch used for all synthetic blocks (any non-zero value).
@@ -93,8 +101,99 @@ def mark_live_reference(roots: Iterable[SimObject], epoch: int) -> Tuple[int, in
 
 
 # ----------------------------------------------------------------------
+# Pages
+# ----------------------------------------------------------------------
+def pages_from_offsets(
+    failures: Dict[int, Iterable[int]], geometry: Geometry, n_pages: int
+) -> List[HeapPage]:
+    """Heap pages ``0..n_pages-1``; page *i* fails at the PCM line
+    offsets ``failures[i]`` (perfect when absent)."""
+    return heap_pages(
+        {
+            index: sum(1 << offset for offset in set(failures.get(index, ())))
+            for index in range(n_pages)
+        },
+        geometry,
+    )
+
+
+def page_offsets_reference(bits: int, geometry: Geometry) -> List[int]:
+    """Decode a page bitmap one bit position at a time."""
+    return [i for i in range(geometry.lines_per_page) if bits >> i & 1]
+
+
+# ----------------------------------------------------------------------
 # Blocks
 # ----------------------------------------------------------------------
+def seed_failed_lines_reference(
+    pages: Sequence[HeapPage], geometry: Geometry
+) -> Tuple[bytes, bytes, frozenset]:
+    """A block's seeded segment from its pages, one failed PCM offset at
+    a time: ``(line states, fail marks, failed Immix lines)``.
+
+    The per-offset path blocks took before pages carried Immix fail
+    marks: each offset's byte address picks the Immix line it poisons.
+    """
+    n_lines = geometry.immix_lines_per_block
+    states = bytearray(n_lines)
+    marks = bytearray(n_lines)
+    failed = set()
+    for slot, page in enumerate(pages):
+        for offset in page_offsets_reference(page.failed_bits, geometry):
+            byte_offset = slot * geometry.page + offset * geometry.pcm_line
+            line = byte_offset // geometry.immix_line
+            failed.add(line)
+            states[line] = FAILED
+            marks[line] = 1
+    return bytes(states), bytes(marks), frozenset(failed)
+
+
+def seed_block_reference(block: Block, offsets_by_slot: Sequence[Iterable[int]]) -> None:
+    """Seed a block built on perfect pages with failed PCM offsets, the
+    way blocks did when pages carried offset sets: collect the poisoned
+    Immix lines into a set, then write each line's state and mark."""
+    geometry = block.geometry
+    failed = set()
+    for slot, offsets in enumerate(offsets_by_slot):
+        page_base = slot * geometry.page
+        failed.update(
+            [(page_base + offset * geometry.pcm_line) // geometry.immix_line
+             for offset in offsets]
+        )
+    if failed:
+        base = block.table.base(block.slot)
+        lines = block.table.lines
+        marks = block.table.fail_marks
+        for line in failed:
+            lines[base + line] = FAILED
+            marks[base + line] = 1
+        block.n_failed = len(failed)
+        block.touch_lines()
+
+
+def block_segment(block: Block) -> Tuple[bytes, bytes, frozenset]:
+    """The same triple read off a block: its heap-table segment's line
+    states and fail marks, and its derived failed-line set."""
+    base = block.table.base(block.slot)
+    end = base + block.n_lines
+    return (
+        bytes(block.table.lines[base:end]),
+        bytes(block.table.fail_marks[base:end]),
+        frozenset(block.failed_line_indices()),
+    )
+
+
+def mark_failed_lines(block: Block, lines: Iterable[int]) -> None:
+    """Mark Immix lines failed in the block's fail marks and count,
+    leaving its line states alone (a sweep re-stamps them)."""
+    base = block.table.base(block.slot)
+    for line in lines:
+        if not block.table.fail_marks[base + line]:
+            block.table.fail_marks[base + line] = 1
+            block.n_failed += 1
+    block.touch_lines()
+
+
 def rebuild_line_marks_reference(
     block: Block, epoch: int, keep_old: bool = False
 ) -> Tuple[int, int]:
@@ -102,7 +201,7 @@ def rebuild_line_marks_reference(
     states = block.line_states
     for line in range(block.n_lines):
         states[line] = FREE
-    for line in block.failed_lines:
+    for line in block.failed_line_indices():
         states[line] = FAILED
     survivors: List[SimObject] = []
     conflicts: List[Tuple[int, int]] = []
@@ -139,9 +238,64 @@ def sorted_defrag_candidates_reference(blocks: Sequence[Block]) -> List[Block]:
         blocks,
         key=lambda block: -(
             free_run_summary_reference(block.line_states).free_lines
-            + len(block.failed_lines)
+            + len(block.failed_line_indices())
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# Page supply
+# ----------------------------------------------------------------------
+class LinearScanPageSupply(PageSupply):
+    """A page supply that finds spans by scanning all of them in order,
+    as :class:`PageSupply` did before it kept per-span flag bytes."""
+
+    def take_block_pages(self):
+        for span in self._spans:
+            if span.owner == SPAN_FREE and span.fully_free:
+                span.owner = SPAN_BLOCKS
+                taken = list(span.free)
+                span.free = []
+                span.n_free_perfect = 0
+                self._free_pages -= len(taken)
+                self.relaxed_pages_taken += len(taken)
+                return taken
+        return None
+
+    def fussy_page(self, allow_borrow: bool = True) -> HeapPage:
+        self.fussy_pages_taken += 1
+        for span in self._spans:
+            if span.owner == SPAN_LOS and span.n_free_perfect:
+                for page in span.free:
+                    if not page.failed_bits:
+                        span.free.remove(page)
+                        span.n_free_perfect -= 1
+                        self._free_pages -= 1
+                        self.accountant.record_perfect_hit()
+                        return page
+        for span in self._spans:
+            if span.owner == SPAN_FREE and span.fully_free and span.n_free_perfect:
+                span.owner = SPAN_LOS
+                self.los_span_claims += 1
+                page = [page for page in span.free if page.is_perfect][0]
+                span.free.remove(page)
+                span.n_free_perfect -= 1
+                self._free_pages -= 1
+                self.accountant.record_perfect_hit()
+                return page
+        if not allow_borrow:
+            self.fussy_pages_taken -= 1
+            raise OutOfMemoryError("no perfect PCM page; collect before borrowing")
+        parked = self._steal_parkable()
+        if parked is None:
+            self.fussy_pages_taken -= 1
+            raise OutOfMemoryError("no free page left to charge the borrow penalty")
+        self._parked.append(parked)
+        self.accountant.borrow()
+        page = HeapPage(self._next_borrow_index, borrowed=True)
+        self._next_borrow_index -= 1
+        self._borrowed_held.append(page)
+        return page
 
 
 # ----------------------------------------------------------------------
@@ -198,6 +352,12 @@ def compressed_size_bytes_reference(table: FailureTable) -> int:
     return total
 
 
+def load_lines_reference(table: FailureTable, failed_lines: Iterable[int]) -> None:
+    """Load failed lines into a failure table one line at a time."""
+    for line in failed_lines:
+        table.record_global_line(int(line))
+
+
 def absorb_static_failures_reference(os_mm, failed_lines: Iterable[int]) -> None:
     """Absorb an aged module's failures into a fresh OS one line at a time.
 
@@ -220,7 +380,7 @@ def os_absorption_state(os_mm) -> tuple:
     """Every piece of OS state absorption writes, for exact comparison:
     the failure table's bitmaps, count, imperfect list and decoded
     offsets, the pool deques in order, and each page descriptor's
-    offsets."""
+    bitmap."""
     table = os_mm.failure_table
     pools = os_mm.pools
     return (
@@ -231,7 +391,7 @@ def os_absorption_state(os_mm) -> tuple:
         list(pools._perfect),
         list(pools._imperfect),
         list(pools._dram),
-        {index: page.failed_offsets for index, page in pools.pages.items()},
+        {index: page.failed_bits for index, page in pools.pages.items()},
     )
 
 
@@ -304,10 +464,7 @@ def build_synthetic_block(
         failed_by_page.setdefault(slot, set()).add(
             rng.randrange(geometry.lines_per_page)
         )
-    pages = [
-        HeapPage(index, frozenset(failed_by_page.get(index, ())))
-        for index in range(geometry.pages_per_block)
-    ]
+    pages = pages_from_offsets(failed_by_page, geometry, geometry.pages_per_block)
     block = Block(virtual_index, pages, geometry, table=table)
     factory = ObjectFactory()
     for start, length in list(block.free_runs()):

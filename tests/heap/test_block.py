@@ -13,16 +13,13 @@ from repro.heap.object_model import SimObject
 from repro.heap.page_supply import HeapPage
 from repro.runtime.vm import VirtualMachine, VmConfig
 from repro.units import MiB
+from tests.heap.oracles import pages_from_offsets
 
 G = Geometry()  # 256 B Immix lines, 4 KB pages, 32 KB blocks
 
 
 def make_pages(failures=None):
-    failures = failures or {}
-    return [
-        HeapPage(index, frozenset(failures.get(index, ())))
-        for index in range(G.pages_per_block)
-    ]
+    return pages_from_offsets(failures or {}, G, G.pages_per_block)
 
 
 class TestConstruction:

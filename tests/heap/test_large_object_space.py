@@ -5,15 +5,15 @@ import pytest
 from repro.hardware.geometry import Geometry
 from repro.heap.large_object_space import LargeObjectSpace
 from repro.heap.object_model import SimObject
-from repro.heap.page_supply import HeapPage, PageSupply
+from repro.heap.page_supply import PageSupply
+from tests.heap.oracles import pages_from_offsets
 
 G = Geometry()
 
 
 def make_los(perfect=8, imperfect=0):
-    pages = [HeapPage(i) for i in range(perfect)]
-    pages += [HeapPage(perfect + i, frozenset({0})) for i in range(imperfect)]
-    supply = PageSupply(pages, G)
+    failures = {perfect + i: [0] for i in range(imperfect)}
+    supply = PageSupply(pages_from_offsets(failures, G, perfect + imperfect), G)
     return LargeObjectSpace(supply, G), supply
 
 

@@ -103,12 +103,11 @@ class TestScanEquivalence:
 # ======================================================================
 def fresh_block(geometry=None, failed=(3, 17)):
     geometry = geometry or Geometry()
-    pages = [HeapPage(i, frozenset()) for i in range(geometry.pages_per_block)]
+    pages = [HeapPage(i) for i in range(geometry.pages_per_block)]
     block = Block(0, pages, geometry)
+    oracles.mark_failed_lines(block, failed)
     for line in failed:
-        block.failed_lines.add(line)
         block.line_states[line] = FAILED
-        block.touch_lines()
     return block
 
 
@@ -263,12 +262,12 @@ def sweep_cases(draw):
 
 def described_block(immix_line, failed, objects):
     """Build a block from a :func:`sweep_cases` description. Failed
-    lines enter through ``failed_lines`` alone, as in :func:`fresh_block`
+    lines enter through the fail marks alone, as in :func:`fresh_block`
     with no line-state write: the sweep must re-stamp them itself."""
     geometry = Geometry(immix_line=immix_line)
-    pages = [HeapPage(i, frozenset()) for i in range(geometry.pages_per_block)]
+    pages = [HeapPage(i) for i in range(geometry.pages_per_block)]
     block = Block(0, pages, geometry)
-    block.failed_lines.update(failed)
+    oracles.mark_failed_lines(block, failed)
     factory = ObjectFactory()
     cursor = 0
     for gap, size, pinned, marked, old in objects:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import OutOfMemoryError
 from repro.hardware.geometry import Geometry
 from repro.heap.page_supply import SPAN_FREE, SPAN_LOS, HeapPage, PageSupply
+from tests.heap.oracles import pages_from_offsets
 
 G = Geometry()
 PER_SPAN = G.pages_per_block  # 8
@@ -13,15 +14,12 @@ PER_SPAN = G.pages_per_block  # 8
 def build_supply(span_specs):
     """span_specs: list of lists; each inner list gives, per page of the
     span, the number of failed line offsets (0 = perfect page)."""
-    pages = []
-    index = 0
+    failures = {}
     for spec in span_specs:
         assert len(spec) == PER_SPAN
         for failed_count in spec:
-            offsets = frozenset(range(failed_count))
-            pages.append(HeapPage(index, offsets))
-            index += 1
-    return PageSupply(pages, G)
+            failures[len(failures)] = range(failed_count)
+    return PageSupply(pages_from_offsets(failures, G, len(failures)), G)
 
 
 PERFECT_SPAN = [0] * PER_SPAN

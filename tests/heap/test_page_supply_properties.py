@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import OutOfMemoryError
 from repro.hardware.geometry import Geometry
-from repro.heap.page_supply import HeapPage, PageSupply
+from repro.heap.page_supply import PageSupply
+from tests.heap.oracles import pages_from_offsets
 
 G = Geometry()
 PER_SPAN = G.pages_per_block
@@ -15,13 +16,12 @@ PER_SPAN = G.pages_per_block
 
 def build(n_spans, failed_pattern, seed):
     rng = random.Random(seed)
-    pages = []
-    for index in range(n_spans * PER_SPAN):
-        offsets = frozenset(
-            o for o in range(G.lines_per_page) if rng.random() < failed_pattern
-        )
-        pages.append(HeapPage(index, offsets))
-    return PageSupply(pages, G)
+    n_pages = n_spans * PER_SPAN
+    failures = {
+        index: [o for o in range(G.lines_per_page) if rng.random() < failed_pattern]
+        for index in range(n_pages)
+    }
+    return PageSupply(pages_from_offsets(failures, G, n_pages), G)
 
 
 @settings(max_examples=30, deadline=None)

@@ -44,7 +44,7 @@ class Twins:
 
     def _block(self):
         geometry = self.geometry
-        pages = [HeapPage(i, frozenset()) for i in range(geometry.pages_per_block)]
+        pages = [HeapPage(i) for i in range(geometry.pages_per_block)]
         return Block(0, pages, geometry)
 
     def append(self, gap, size, pinned, marked, old):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.faults.generator import FailureModel
 from repro.faults.injector import FaultInjector
-from repro.hardware.geometry import Geometry
+from repro.hardware.geometry import Geometry, popcount
 from repro.hardware.pcm import EnduranceModel, PcmModule
 from repro.runtime.vm import VirtualMachine, VmConfig
 from repro.units import KiB, MiB
@@ -39,10 +39,11 @@ def assert_vm_invariants(vm):
     """The paper's correctness conditions, checked heap-wide."""
     line_size = vm.geometry.immix_line
     for block in vm.collector.blocks:
+        failed = block.failed_line_indices()
         extents = []
         for obj in block.objects:
             for line in obj.line_span(line_size):
-                assert line not in block.failed_lines, (
+                assert line not in failed, (
                     f"live object {obj.oid} on failed line {line}"
                 )
             extents.append((obj.offset, obj.offset + obj.size))
@@ -73,12 +74,13 @@ class TestStaticFailureFlow:
         table = vm.os.failure_table
         ratio = vm.geometry.pcm_lines_per_immix_line
         for block in vm.collector.blocks:
+            failed = block.failed_line_indices()
             for slot, page in enumerate(block.pages):
                 if page.borrowed:
                     continue
                 for offset in table.failed_offsets(page.index):
                     byte = slot * vm.geometry.page + offset * vm.geometry.pcm_line
-                    assert byte // vm.geometry.immix_line in block.failed_lines
+                    assert byte // vm.geometry.immix_line in failed
 
     @pytest.mark.parametrize(
         "model",
@@ -170,7 +172,7 @@ class TestCompensation:
             )
             raw_bytes = vm.supply.total_pages * vm.geometry.page
             failed_bytes = sum(
-                len(p.failed_offsets) * vm.geometry.pcm_line
+                popcount(p.failed_bits) * vm.geometry.pcm_line
                 for span in vm.supply._spans
                 for p in span.pages
             )

@@ -68,4 +68,4 @@ def test_absorbed_pages_leave_the_perfect_pool():
     assert os_absorption_state(bulk) == os_absorption_state(oracle)
     assert bulk.failure_table.imperfect_pages() == [0, 3]
     assert bulk.pools.imperfect_page_indices() == [0, 3]
-    assert bulk.map_failures([bulk.pools.page(3)]) == {3: {7}}
+    assert bulk.map_failures([bulk.pools.page(3)]) == {3: 1 << 7}

@@ -21,9 +21,9 @@ class TestPhysicalPage:
             page.record_failure(0)
 
     def test_compatibility_is_subset_relation(self):
-        source = PhysicalPage(0, failed_offsets={1, 2, 3})
-        subset = PhysicalPage(1, failed_offsets={2})
-        superset = PhysicalPage(2, failed_offsets={2, 9})
+        source = PhysicalPage(0, failed_bits=0b1110)
+        subset = PhysicalPage(1, failed_bits=1 << 2)
+        superset = PhysicalPage(2, failed_bits=(1 << 2) | (1 << 9))
         assert subset.compatible_destination_for(source)
         assert not superset.compatible_destination_for(source)
         assert PhysicalPage(3).compatible_destination_for(source)
@@ -103,7 +103,7 @@ class TestPools:
         pools.note_page_degraded(0)
         pools.page(1).record_failure(9)
         pools.note_page_degraded(1)
-        source = PhysicalPage(-1, failed_offsets={1, 2, 3})
+        source = PhysicalPage(-1, failed_bits=0b1110)
         page = pools.take_compatible(source)
         assert page is not None and page.index == 0
         assert pools.take_compatible(source) is None  # page 1 incompatible

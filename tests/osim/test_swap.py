@@ -48,10 +48,10 @@ class TestSwapOutIn:
         pools = degraded_pools([{1}, {9}, set()])
         swapper = Swapper(pools)
         source = pools.take_any_pcm()
-        source_holes = set(source.failed_offsets)
+        source_holes = source.failed_bits
         slot = swapper.swap_out(source, payload=None)
         destination = swapper.swap_in(slot)
-        assert destination.failed_offsets <= source_holes
+        assert not destination.failed_bits & ~source_holes
         assert swapper.stats.perfect_destinations + swapper.stats.subset_destinations == 1
 
     def test_incompatible_imperfect_falls_back_to_perfect(self):

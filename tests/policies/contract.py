@@ -237,9 +237,10 @@ def check_no_live_data_on_failed_lines(wear, pool, placement):
     vm = drive(build_vm(wear, pool, placement))
     line_size = vm.geometry.immix_line
     for block in vm.collector.blocks:
+        failed = block.failed_line_indices()
         for obj in block.objects:
             for line in obj.line_span(line_size):
-                assert line not in block.failed_lines, (
+                assert line not in failed, (
                     f"({wear}/{pool}/{placement}): live object {obj.oid} "
                     f"spans failed line {line}"
                 )

@@ -11,6 +11,10 @@ must be freed by reference counting alone: a block a sweep retires
 holds no cycle, and a leaf object holds no list. With a retired block
 kept alive by a cycle until the cell ended, the pmd 10% cell's traced
 peak was 8.2 MiB.
+
+A page's failures travel as its bitmap from the OS table to the heap
+pages, so building a machine makes no Python set per failing page; the
+end-of-cell collector pass has that many fewer objects to walk.
 """
 
 import gc
@@ -63,3 +67,31 @@ def test_pmd_ten_percent_cell_peaks_under_5_mib():
     finally:
         tracemalloc.stop()
     assert peak < 5 * MiB, f"the cell peaked at {peak / MiB:.2f} MiB"
+
+
+def _frozensets_made_building(rate):
+    config = RunConfig(
+        workload="pmd", failure_model=FailureModel(rate=rate), scale=0.02, seed=5
+    )
+    vm_config = VmConfig(
+        heap_bytes=int(min_heap_bytes(config) * config.heap_multiplier),
+        geometry=config.geometry(),
+        failure_model=config.failure_model,
+        seed=config.seed,
+    )
+    VirtualMachine(vm_config)  # warm every import and cache first
+    gc.collect()
+    before = sum(isinstance(o, frozenset) for o in gc.get_objects())
+    vm = VirtualMachine(vm_config)
+    after = sum(isinstance(o, frozenset) for o in gc.get_objects())
+    return after - before, vm
+
+
+def test_vm_build_makes_no_frozenset_per_failing_page():
+    clean, _ = _frozensets_made_building(0.0)
+    failing, vm = _frozensets_made_building(0.5)
+    imperfect = len(vm.os.failure_table.imperfect_pages())
+    assert imperfect > 100
+    assert failing <= clean, (
+        f"{failing - clean} more frozensets with {imperfect} failing pages"
+    )

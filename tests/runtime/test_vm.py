@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.faults.generator import FailureModel
-from repro.hardware.geometry import Geometry
+from repro.hardware.geometry import Geometry, popcount
 from repro.runtime.vm import VirtualMachine, VmConfig
 from repro.units import KiB, MiB
 
@@ -49,7 +49,7 @@ class TestConstruction:
         obj = vm.alloc(64)
         vm.add_root(obj)
         # The first block has failures seeded from the OS failure map.
-        total_failed = sum(len(p.failed_offsets) for p in vm.collector.blocks[0].pages)
+        total_failed = sum(popcount(p.failed_bits) for p in vm.collector.blocks[0].pages)
         assert total_failed > 0
 
 
@@ -201,9 +201,10 @@ class TestDynamicFailures:
         assert vm.stats.dynamic_failure_collections > 0
         # Invariant: no live object overlaps a failed line.
         for block in vm.collector.blocks:
+            failed = block.failed_line_indices()
             for obj in block.objects:
                 for line in obj.line_span(vm.geometry.immix_line):
-                    assert line not in block.failed_lines
+                    assert line not in failed
 
     def test_page_retirement_mode_poisons_whole_pages(self):
         vm, pcm = self.make_wearing_vm(page_retirement=True)
@@ -213,7 +214,7 @@ class TestDynamicFailures:
             vm.mutate(vm.alloc(80))
         if pcm.failed_fraction() > 0:
             poisoned = sum(
-                len(block.failed_lines) for block in vm.collector.blocks
+                block.n_failed for block in vm.collector.blocks
             )
             real = len(pcm.failed_logical_lines())
             lines_per_page_in_immix = vm.geometry.page // vm.geometry.immix_line
